@@ -26,7 +26,7 @@ func (pr *Process) ballSingle() {
 // several times, in O(d) per ball.
 func (pr *Process) ballDChoice() {
 	nonce := pr.roundPrologue()
-	best := pr.kern.dchoiceBest(pr, nonce)
+	best := pr.kern.staleDecide(nonce, 0, pr.samples)
 	h := pr.place(best)
 	pr.messages += int64(pr.p.D)
 	if pr.obs != nil {

@@ -44,12 +44,13 @@
 // to the interface/per-round reference paths). Params.Pipeline moves
 // random generation onto a producer goroutine (bit-identical by
 // construction), and Params.Shards engages the sharded superstep engine
-// (shard.go): bins are partitioned across a persistent worker pool, each
-// superstep's randomness is pre-drawn serially, the workers gather owned
-// bins' loads and decide whole rounds in parallel against that frozen
-// snapshot, and placements apply serially in round order. Sharded results
-// are bit-identical for ANY worker count (the merge is positional, not
-// scheduling-dependent); relative to the serial process they are
+// (shard.go): each superstep's randomness is pre-drawn serially, a
+// persistent worker pool splits the block's rounds into contiguous chunks,
+// each worker gathering its chunk's loads from the unchanging store and
+// deciding those rounds against that frozen snapshot, and placements apply
+// serially in round order. Sharded results are bit-identical for ANY worker
+// count (snapshot cells are positional, not scheduling-dependent); relative
+// to the serial process they are
 // bit-identical wherever the policy's semantics allow (StaleBatch and
 // SingleChoice always; the load-coupled round policies at Block = 1) and
 // diverge only by bounded within-block staleness otherwise.
@@ -242,12 +243,14 @@ type Params struct {
 	// superstep (~4096 samples); explicit values must be >= 1. Policies
 	// without a fixed prologue ignore Block.
 	Block int
-	// Shards engages the sharded superstep engine: bins are partitioned
-	// across this many workers, each superstep's randomness is pre-drawn
-	// serially, the workers gather the loads of the bins they own and
-	// decide whole rounds in parallel against that frozen snapshot, and
-	// placements apply serially in round order. Results are bit-identical
-	// across ANY shard count >= 2 (the owner-shard merge is positional).
+	// Shards engages the sharded superstep engine with this many workers:
+	// each superstep's randomness is pre-drawn serially, then in one
+	// parallel phase every worker takes a contiguous chunk of the block's
+	// rounds (of a StaleBatch round's balls), gathers that chunk's loads —
+	// the store is read-only until the phase ends, so every worker sees the
+	// block-start loads — and decides those rounds; placements then apply
+	// serially in round order. Results are bit-identical across ANY shard
+	// count >= 2 (chunk boundaries cannot reach a decision).
 	// Relative to the serial process: StaleBatch and SingleChoice are
 	// bit-identical always; KDChoice, fixed-σ SerializedKD, DChoice, and
 	// CoarseDChoice are bit-identical at Block = 1 and otherwise see each

@@ -57,12 +57,9 @@ type kernelOps interface {
 	// placeSlots commits one ball per selected slot and returns the
 	// observation buffers (nil, nil when no observer is installed).
 	placeSlots(pr *Process, sel []slot) (placed, heights []int)
-	// dchoiceBest returns the least-loaded of pr.samples with ties broken
-	// by the per-round keyed hash (the greedy[d] argmin scan).
-	dchoiceBest(pr *Process, nonce uint64) int
-	// staleDecide returns the destination of one StaleBatch ball judged
-	// against the frozen round-start loads. Read-only: the sharded round
-	// calls it concurrently.
+	// staleDecide returns the least-loaded of samples with ties broken by
+	// the ball-keyed hash: one StaleBatch ball judged against the frozen
+	// round-start loads, or, at ball = 0, the greedy[d] argmin scan.
 	staleDecide(nonce uint64, ball int, samples []int) int
 	// bulkAdd is the store-specific batch increment (no heights observed).
 	bulkAdd(bins []int)
@@ -81,16 +78,11 @@ type kernelOps interface {
 	// sketch store). The per-probe read of the sequential ThresholdChoice
 	// scan; devirtualized like every other per-bin access.
 	loadAt(bin int) int
-	// gatherLoads fills pr.ldv[:len(pr.samples)] with the sampled bins'
-	// loads — the gather pass of CoarseDChoice's quantized argmin, shared
-	// with fastSelect's first phase.
-	gatherLoads(pr *Process)
-	// shardGather fills ldv[i] for every i with lo <= samples[i] < hi —
-	// the owner-bounded gather pass of the sharded superstep engine
-	// (shard.go). Read-only on the store and positional on ldv, so P
-	// workers with disjoint bin ranges fill disjoint cells of the same
-	// slice concurrently, and the merged snapshot is independent of P.
-	shardGather(samples, ldv []int, lo, hi int)
+	// gather fills ldv[:len(samples)] with the sampled bins' loads — the
+	// gather pass of CoarseDChoice's quantized argmin and of every sharded
+	// round chunk (shard.go). Read-only on the store and positional on ldv,
+	// so workers gathering disjoint chunks of one snapshot run concurrently.
+	gather(samples, ldv []int)
 }
 
 // newKernel returns the kernel specialized to the concrete store type, or
@@ -131,9 +123,6 @@ type kernDense struct{ s *loadvec.DenseStore }
 func (k kernDense) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, nonce, toPlace)
 }
-func (k kernDense) dchoiceBest(pr *Process, nonce uint64) int {
-	return staleDecideTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce, 0)
-}
 func (k kernDense) staleDecide(nonce uint64, ball int, samples []int) int {
 	return staleDecideTyped(samples, k.s.RawLoads(), -1, nil, nonce, ball)
 }
@@ -145,11 +134,8 @@ func (k kernDense) addW(bin, w int) int { return k.s.AddN(bin, w) }
 func (k kernDense) subW(bin, w int) int { return k.s.Sub(bin, w) }
 func (k kernDense) bulkSub(bins []int)  { k.s.BulkSub(bins) }
 func (k kernDense) loadAt(bin int) int  { return k.s.Load(bin) }
-func (k kernDense) gatherLoads(pr *Process) {
-	gatherTyped(pr.samples, pr.ldv, k.s.RawLoads(), -1, nil)
-}
-func (k kernDense) shardGather(samples, ldv []int, lo, hi int) {
-	gatherOwnedTyped(samples, ldv, k.s.RawLoads(), -1, nil, lo, hi)
+func (k kernDense) gather(samples, ldv []int) {
+	gatherTyped(samples, ldv, k.s.RawLoads(), -1, nil)
 }
 
 // kernCompact is the kernel over the 2-bytes/bin compact store.
@@ -158,10 +144,6 @@ type kernCompact struct{ s *loadvec.CompactStore }
 func (k kernCompact) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	small, wide := k.s.RawLoads()
 	return fastSelectTyped(pr, small, loadvec.CompactEscape, wide, nonce, toPlace)
-}
-func (k kernCompact) dchoiceBest(pr *Process, nonce uint64) int {
-	small, wide := k.s.RawLoads()
-	return staleDecideTyped(pr.samples, small, loadvec.CompactEscape, wide, nonce, 0)
 }
 func (k kernCompact) staleDecide(nonce uint64, ball int, samples []int) int {
 	small, wide := k.s.RawLoads()
@@ -175,13 +157,9 @@ func (k kernCompact) addW(bin, w int) int { return k.s.AddN(bin, w) }
 func (k kernCompact) subW(bin, w int) int { return k.s.Sub(bin, w) }
 func (k kernCompact) bulkSub(bins []int)  { k.s.BulkSub(bins) }
 func (k kernCompact) loadAt(bin int) int  { return k.s.Load(bin) }
-func (k kernCompact) gatherLoads(pr *Process) {
+func (k kernCompact) gather(samples, ldv []int) {
 	small, wide := k.s.RawLoads()
-	gatherTyped(pr.samples, pr.ldv, small, loadvec.CompactEscape, wide)
-}
-func (k kernCompact) shardGather(samples, ldv []int, lo, hi int) {
-	small, wide := k.s.RawLoads()
-	gatherOwnedTyped(samples, ldv, small, loadvec.CompactEscape, wide, lo, hi)
+	gatherTyped(samples, ldv, small, loadvec.CompactEscape, wide)
 }
 
 // kernHist is the kernel over the histogram-indexed store.
@@ -189,9 +167,6 @@ type kernHist struct{ s *loadvec.HistStore }
 
 func (k kernHist) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, nonce, toPlace)
-}
-func (k kernHist) dchoiceBest(pr *Process, nonce uint64) int {
-	return staleDecideTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce, 0)
 }
 func (k kernHist) staleDecide(nonce uint64, ball int, samples []int) int {
 	return staleDecideTyped(samples, k.s.RawLoads(), -1, nil, nonce, ball)
@@ -204,11 +179,8 @@ func (k kernHist) addW(bin, w int) int { return k.s.AddN(bin, w) }
 func (k kernHist) subW(bin, w int) int { return k.s.Sub(bin, w) }
 func (k kernHist) bulkSub(bins []int)  { k.s.BulkSub(bins) }
 func (k kernHist) loadAt(bin int) int  { return k.s.Load(bin) }
-func (k kernHist) gatherLoads(pr *Process) {
-	gatherTyped(pr.samples, pr.ldv, k.s.RawLoads(), -1, nil)
-}
-func (k kernHist) shardGather(samples, ldv []int, lo, hi int) {
-	gatherOwnedTyped(samples, ldv, k.s.RawLoads(), -1, nil, lo, hi)
+func (k kernHist) gather(samples, ldv []int) {
+	gatherTyped(samples, ldv, k.s.RawLoads(), -1, nil)
 }
 
 // kernNibble is the kernel over the 4-bits/bin packed store: the gather
@@ -219,13 +191,8 @@ func (k kernHist) shardGather(samples, ldv []int, lo, hi int) {
 type kernNibble struct{ s *loadvec.NibbleStore }
 
 func (k kernNibble) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
-	packed, wide := k.s.RawLoads()
-	gatherNibble(pr.samples, pr.ldv, packed, wide)
+	k.gather(pr.samples, pr.ldv)
 	return pr.probeAndRank(nonce, toPlace)
-}
-func (k kernNibble) dchoiceBest(pr *Process, nonce uint64) int {
-	packed, wide := k.s.RawLoads()
-	return staleDecideNibble(pr.samples, packed, wide, nonce, 0)
 }
 func (k kernNibble) staleDecide(nonce uint64, ball int, samples []int) int {
 	packed, wide := k.s.RawLoads()
@@ -239,13 +206,9 @@ func (k kernNibble) addW(bin, w int) int { return k.s.AddN(bin, w) }
 func (k kernNibble) subW(bin, w int) int { return k.s.Sub(bin, w) }
 func (k kernNibble) bulkSub(bins []int)  { k.s.BulkSub(bins) }
 func (k kernNibble) loadAt(bin int) int  { return k.s.Load(bin) }
-func (k kernNibble) gatherLoads(pr *Process) {
+func (k kernNibble) gather(samples, ldv []int) {
 	packed, wide := k.s.RawLoads()
-	gatherNibble(pr.samples, pr.ldv, packed, wide)
-}
-func (k kernNibble) shardGather(samples, ldv []int, lo, hi int) {
-	packed, wide := k.s.RawLoads()
-	gatherOwnedNibble(samples, ldv, packed, wide, lo, hi)
+	gatherNibble(samples, ldv, packed, wide)
 }
 
 // kernSketch is the kernel over the count-min approximate store: every
@@ -258,12 +221,8 @@ func (k kernNibble) shardGather(samples, ldv []int, lo, hi int) {
 type kernSketch struct{ s *loadvec.SketchStore }
 
 func (k kernSketch) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
-	rows, seeds, mask := k.s.RawSketch().Raw()
-	gatherSketch(pr.samples, pr.ldv, rows, seeds, mask)
+	k.gather(pr.samples, pr.ldv)
 	return pr.probeAndRank(nonce, toPlace)
-}
-func (k kernSketch) dchoiceBest(pr *Process, nonce uint64) int {
-	return k.staleDecide(nonce, 0, pr.samples)
 }
 func (k kernSketch) staleDecide(nonce uint64, ball int, samples []int) int {
 	rows, seeds, mask := k.s.RawSketch().Raw()
@@ -296,13 +255,9 @@ func (k kernSketch) addW(bin, w int) int { return k.s.AddN(bin, w) }
 func (k kernSketch) subW(bin, w int) int { return k.s.Sub(bin, w) }
 func (k kernSketch) bulkSub(bins []int)  { k.s.BulkSub(bins) }
 func (k kernSketch) loadAt(bin int) int  { return k.s.Load(bin) }
-func (k kernSketch) gatherLoads(pr *Process) {
+func (k kernSketch) gather(samples, ldv []int) {
 	rows, seeds, mask := k.s.RawSketch().Raw()
-	gatherSketch(pr.samples, pr.ldv, rows, seeds, mask)
-}
-func (k kernSketch) shardGather(samples, ldv []int, lo, hi int) {
-	rows, seeds, mask := k.s.RawSketch().Raw()
-	gatherOwnedSketch(samples, ldv, rows, seeds, mask, lo, hi)
+	gatherSketch(samples, ldv, rows, seeds, mask)
 }
 
 // kernIface is the interface-dispatch fallback kernel: every bin access
@@ -312,15 +267,8 @@ type kernIface struct{ s loadvec.Store }
 func (k kernIface) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	// Load-gather pass through the Store interface (the devirtualized
 	// kernels index the raw array here), then the shared probe pass.
-	samples := pr.samples
-	ldv := pr.ldv[:len(samples)]
-	for i, b := range samples {
-		ldv[i] = k.s.Load(b)
-	}
+	k.gather(pr.samples, pr.ldv)
 	return pr.probeAndRank(nonce, toPlace)
-}
-func (k kernIface) dchoiceBest(pr *Process, nonce uint64) int {
-	return k.staleDecide(nonce, 0, pr.samples)
 }
 func (k kernIface) staleDecide(nonce uint64, ball int, samples []int) int {
 	best := samples[0]
@@ -352,17 +300,10 @@ func (k kernIface) addW(bin, w int) int { return k.s.AddN(bin, w) }
 func (k kernIface) subW(bin, w int) int { return k.s.Sub(bin, w) }
 func (k kernIface) bulkSub(bins []int)  { k.s.BulkSub(bins) }
 func (k kernIface) loadAt(bin int) int  { return k.s.Load(bin) }
-func (k kernIface) gatherLoads(pr *Process) {
-	ldv := pr.ldv[:len(pr.samples)]
-	for i, b := range pr.samples {
-		ldv[i] = k.s.Load(b)
-	}
-}
-func (k kernIface) shardGather(samples, ldv []int, lo, hi int) {
+func (k kernIface) gather(samples, ldv []int) {
+	ldv = ldv[:len(samples)]
 	for i, b := range samples {
-		if b >= lo && b < hi {
-			ldv[i] = k.s.Load(b)
-		}
+		ldv[i] = k.s.Load(b)
 	}
 }
 
@@ -439,71 +380,15 @@ func sketchEstimate(rows []uint8, seeds []uint64, mask uint64, bin int) int {
 	return est
 }
 
-// gatherOwnedTyped is the owner-bounded variant of gatherTyped: it fills
-// only the cells whose sampled bin falls in [lo, hi), skipping foreign
-// shards' samples. Per-store stenciled like the serial gather so every
-// owned read is a direct inlined index.
-//
-//kd:hotpath
-func gatherOwnedTyped[E loadElem](samples, ldv []int, raw []E, esc int, wide map[int]int, lo, hi int) {
-	ldv = ldv[:len(samples)]
-	for i, b := range samples {
-		if b < lo || b >= hi {
-			continue
-		}
-		v := int(raw[b])
-		if v == esc {
-			v = wide[b] // compact escape; unreachable otherwise
-		}
-		ldv[i] = v
-	}
-}
-
-// gatherOwnedNibble is the owner-bounded gather over the packed nibble
-// cells. Reads may touch a byte shared with a foreign shard's bin, but
-// never a byte another worker WRITES (the decide phase is read-only), so
-// concurrent owned gathers are race-free.
-//
-//kd:hotpath
-func gatherOwnedNibble(samples, ldv []int, packed []uint8, wide map[int]int, lo, hi int) {
-	ldv = ldv[:len(samples)]
-	for i, b := range samples {
-		if b < lo || b >= hi {
-			continue
-		}
-		v := int(packed[b>>1]>>((b&1)<<2)) & 0xF
-		if v == loadvec.NibbleEscape {
-			v = wide[b]
-		}
-		ldv[i] = v
-	}
-}
-
-// gatherOwnedSketch is the owner-bounded gather over the raw count-min
-// rows. Ownership is by bin id, not by counter cell — counter rows are
-// shared across bins by construction — which is fine for the same reason as
-// the nibble case: the phase only reads them.
-//
-//kd:hotpath
-func gatherOwnedSketch(samples, ldv []int, rows []uint8, seeds []uint64, mask uint64, lo, hi int) {
-	ldv = ldv[:len(samples)]
-	for i, b := range samples {
-		if b < lo || b >= hi {
-			continue
-		}
-		ldv[i] = sketchEstimate(rows, seeds, mask, b)
-	}
-}
-
 // argminLdv is the store-free argmin scan over an already-gathered load
 // snapshot: the least-loaded sampled bin under quantum-q bucketing, ties
 // broken by the keyed hash. It is the one scan body behind the sharded
 // decide phase and the serial CoarseDChoice round: ball = 0, q = 1
-// reproduces dchoiceBest's arithmetic exactly (the per-ball tie term
-// vanishes); ball = 0, q = Quantum is coarseBest; ball = b, q = 1 is
-// staleDecide against frozen loads. The duplicate-bin skip (cand == best)
-// matches the store-reading scans, so the decisions are bit-identical to
-// theirs whenever ldv holds the same loads they would read.
+// reproduces the greedy[d] scan (staleDecide at ball 0) exactly; ball = 0,
+// q = Quantum is coarseBest; ball = b, q = 1 is staleDecide against frozen
+// loads. The duplicate-bin skip (cand == best) matches the store-reading
+// scans, so the decisions are bit-identical to theirs whenever ldv holds
+// the same loads they would read.
 //
 //kd:hotpath
 func argminLdv(samples, ldv []int, nonce uint64, ball, q int) int {
@@ -564,7 +449,7 @@ func staleDecideNibble(samples []int, packed []uint8, wide map[int]int, nonce ui
 	return best
 }
 
-// The greedy[d] argmin scan of dchoiceBest is staleDecideTyped with
+// The greedy[d] argmin scan of ballDChoice is staleDecideTyped with
 // ball = 0: the per-ball tie term uint64(ball)<<32 vanishes, leaving
 // exactly the per-(round, bin) keyed hash ballDChoice documents, and the
 // duplicate-bin skip is equivalent to the equal-load tie guard. One scan

@@ -79,12 +79,12 @@ func (pr *Process) ballThreshold() {
 }
 
 // coarseBest returns the sample whose QUANTIZED load is minimal, ties
-// broken by the same keyed hash as dchoiceBest. The load gather runs
+// broken by the same keyed hash as ballDChoice. The load gather runs
 // through the devirtualized kernel; the bucket scan is the shared
 // store-free argmin (kernel.go), which is also what the sharded decide
 // phase runs — so serial and sharded CoarseDChoice cannot drift.
 func (pr *Process) coarseBest(nonce uint64) int {
-	pr.kern.gatherLoads(pr)
+	pr.kern.gather(pr.samples, pr.ldv)
 	return argminLdv(pr.samples, pr.ldv[:len(pr.samples)], nonce, 0, pr.quantum())
 }
 

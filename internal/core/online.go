@@ -219,11 +219,11 @@ func (pr *Process) loadOf(bin int) float64 {
 }
 
 // argminSamples returns the least-loaded bin of pr.samples with the keyed
-// per-round tie hash — kern.dchoiceBest in scalar mode, the same scan over
-// the aggregated loads in vector mode.
+// per-round tie hash — kern.staleDecide at ball 0 in scalar mode, the same
+// scan over the aggregated loads in vector mode.
 func (pr *Process) argminSamples(nonce uint64) int {
 	if pr.vec == nil {
-		return pr.kern.dchoiceBest(pr, nonce)
+		return pr.kern.staleDecide(nonce, 0, pr.samples)
 	}
 	agg := pr.vec.RawAgg()
 	samples := pr.samples

@@ -15,16 +15,16 @@ package core
 //     FillIntn for SingleChoice, nonce-then-FillIntn for StaleBatch — so
 //     the word stream is identical to the serial process for any shard
 //     count and any block size. Randomness NEVER depends on P.
-//  2. gather + decide (parallel): every worker owns a contiguous bin range
-//     [edges[w], edges[w+1]) and fills the load snapshot cells of the
-//     samples it owns — disjoint positional writes into one shared slice,
-//     which IS the deterministic owner-shard merge: the merged snapshot is
-//     a pure function of (samples, loads), independent of P and of
-//     scheduling. The decide phase then splits the block's rounds into
-//     contiguous chunks, each worker running the policy's store-free
-//     decision kernel (selector / argminLdv) over the frozen snapshot.
-//     Per-round decisions share no mutable state, so this, too, is
-//     P-independent.
+//  2. gather + decide (parallel, ONE pool dispatch): the window's rounds
+//     (for StaleBatch, the round's balls) are split into contiguous
+//     chunks, one per worker. Each worker gathers its chunk's loads into
+//     its own cells of the positional snapshot with the store's serial
+//     gather kernel, then runs the policy's store-free decision kernel
+//     (selector / argminLdv) over those cells. Nothing writes to the store
+//     during the phase, so every snapshot cell holds the block-start load
+//     of its sample whichever worker reads it: the snapshot, and every
+//     decision made from it, is a pure function of (samples, loads),
+//     independent of P and of scheduling.
 //  3. apply (serial): placements commit one round per step() call, in
 //     round order, through the same store paths as the serial process.
 //
@@ -158,16 +158,6 @@ func (p *shardPool) Close() {
 	p.once.Do(func() { close(p.done) })
 }
 
-// Phase selector for shardEngine.work (bound once into the pool's run
-// function; per-dispatch state travels through engine fields, published by
-// the doorbell send).
-const (
-	phaseGather = iota
-	phaseDecide
-	phaseStaleGather
-	phaseStaleDecide
-)
-
 // shardEngine holds the sharded superstep state of one Process. The
 // decided block is a buffer between the parallel decide phase and the
 // serial one-round-at-a-time apply path (Round/Place), so the public
@@ -183,10 +173,9 @@ type shardEngine struct {
 	block   int     // rounds per superstep B
 	workers int
 
-	pool  *shardPool
-	eng   *roundEngine // FillRounds block source (nil: single / stale mode)
-	edges []int        // worker w owns bins [edges[w], edges[w+1])
-	sels  []*selector  // per-worker decision lane (kd / serialized only)
+	pool *shardPool
+	eng  *roundEngine // FillRounds block source (nil: single / stale mode)
+	sels []*selector  // per-worker decision lane (kd / serialized only)
 
 	blk    *kdBlock // current block (aliases eng's local block)
 	single []int    // SingleChoice mode: the block's samples (= destinations)
@@ -196,9 +185,7 @@ type shardEngine struct {
 
 	appIdx int // next round to apply
 	decEnd int // end of the decided window (appIdx == decEnd: refill)
-	winLo  int // first round of the window the current phases cover
-
-	phase int
+	winLo  int // first round of the window the current phase covers
 
 	// StaleBatch per-round phase inputs.
 	staleBuf     []int
@@ -217,10 +204,6 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 		d:       p.D,
 		beta:    p.Beta,
 		workers: workers,
-	}
-	se.edges = make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		se.edges[w] = w * p.N / workers
 	}
 	switch policy {
 	case StaleBatch:
@@ -265,7 +248,13 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 	}
 	se.appIdx = se.block
 	se.decEnd = se.block
-	se.pool = newShardPool(workers, se.work)
+	// The pool's phase body is bound once; the per-dispatch inputs travel
+	// through engine fields, published by the doorbell send.
+	run := se.decideChunk
+	if policy == StaleBatch {
+		run = se.staleDecideChunk
+	}
+	se.pool = newShardPool(workers, run)
 	return se
 }
 
@@ -288,8 +277,8 @@ func (se *shardEngine) invalidate() {
 
 // step applies one round (the sharded replacement for the policy's serial
 // round function). When the decided buffer is dry it first refills: draws
-// a fresh block if the old one is exhausted, then runs the parallel gather
-// and decide phases over the remaining window.
+// a fresh block if the old one is exhausted, then runs the parallel
+// gather+decide phase over the remaining window.
 func (se *shardEngine) step(pr *Process, toPlace int) {
 	if se.appIdx >= se.decEnd {
 		se.refill(pr)
@@ -311,8 +300,8 @@ func (se *shardEngine) step(pr *Process, toPlace int) {
 }
 
 // refill decides the window [appIdx, block): fresh draw first if the whole
-// block has been applied, then the two parallel phases. SingleChoice skips
-// the phases entirely — its destination is its sample, loads never enter.
+// block has been applied, then the parallel phase. SingleChoice skips the
+// phase entirely — its destination is its sample, loads never enter.
 func (se *shardEngine) refill(pr *Process) {
 	se.kern = pr.kern
 	if se.appIdx == se.block {
@@ -328,42 +317,31 @@ func (se *shardEngine) refill(pr *Process) {
 		se.decEnd = se.block
 		return
 	}
-	se.phase = phaseGather
-	se.pool.dispatch()
-	se.phase = phaseDecide
 	se.pool.dispatch()
 	se.decEnd = se.block
 }
 
-// work is the pool's phase body (run func, bound once at creation).
-func (se *shardEngine) work(w int) {
-	switch se.phase {
-	case phaseGather:
-		base, end := se.winLo*se.d, se.block*se.d
-		se.kern.shardGather(se.blk.samples[base:end], se.ldv[base:end], se.edges[w], se.edges[w+1])
-	case phaseDecide:
-		se.decideChunk(w)
-	case phaseStaleGather:
-		se.kern.shardGather(se.staleBuf, se.ldv[:len(se.staleBuf)], se.edges[w], se.edges[w+1])
-	case phaseStaleDecide:
-		se.staleDecideChunk(w)
-	}
+// chunkOf returns worker w's contiguous share [lo, hi) of the n items
+// starting at base. Trailing workers get an empty chunk (lo >= hi) when n
+// is below the worker count.
+func (se *shardEngine) chunkOf(w, base, n int) (lo, hi int) {
+	chunk := (n + se.workers - 1) / se.workers
+	lo = base + w*chunk
+	return lo, min(lo+chunk, base+n)
 }
 
-// decideChunk decides worker w's contiguous chunk of the window's rounds
-// against the frozen snapshot. Each round is decided independently (own
-// samples, own snapshot cells, own nonce; kd workers use their own
-// selector lane), so the chunk boundaries — the only P-dependent quantity
-// — cannot influence any decision.
+// decideChunk gathers and decides worker w's contiguous chunk of the
+// window's rounds. Each round is decided independently (own samples, own
+// snapshot cells, own nonce; kd workers use their own selector lane), so
+// the chunk boundaries — the only P-dependent quantity — cannot influence
+// any decision.
 func (se *shardEngine) decideChunk(w int) {
-	rounds := se.block - se.winLo
-	chunk := (rounds + se.workers - 1) / se.workers
-	lo := se.winLo + w*chunk
-	hi := lo + chunk
-	if hi > se.block {
-		hi = se.block
+	lo, hi := se.chunkOf(w, se.winLo, se.block-se.winLo)
+	if lo >= hi {
+		return
 	}
 	d := se.d
+	se.kern.gather(se.blk.samples[lo*d:hi*d], se.ldv[lo*d:hi*d])
 	for r := lo; r < hi; r++ {
 		samples := se.blk.samples[r*d : (r+1)*d]
 		ldv := se.ldv[r*d : (r+1)*d]
@@ -505,8 +483,8 @@ func (se *shardEngine) roundSamples(r int) []int {
 // staleRound is the sharded StaleBatch round — the engine's one-round-wide
 // configuration. The draw order (nonce, then every ball's samples in ball
 // order) and the apply path are exactly the serial round's, and the
-// gather-then-argmin pipeline reads the same frozen loads the serial scan
-// reads live (nothing mutates during the decision phase), so the sharded
+// gather-then-argmin chunks read the same frozen loads the serial scan
+// reads live (nothing mutates during the parallel phase), so the sharded
 // round is bit-identical to serial at any worker count.
 func (se *shardEngine) staleRound(pr *Process, toPlace int) {
 	perBall := se.d
@@ -524,24 +502,19 @@ func (se *shardEngine) staleRound(pr *Process, toPlace int) {
 	se.staleDests = dests
 	se.staleNonce = nonce
 	se.staleToPlace = toPlace
-	se.phase = phaseStaleGather
-	se.pool.dispatch()
-	se.phase = phaseStaleDecide
 	se.pool.dispatch()
 	pr.applyStaleDests(dests, placed, heights)
 }
 
-// staleDecideChunk runs worker w's contiguous chunk of a StaleBatch
-// round's per-ball argmins over the frozen snapshot.
+// staleDecideChunk gathers and decides worker w's contiguous chunk of a
+// StaleBatch round's balls: per-ball argmins over the frozen snapshot.
 func (se *shardEngine) staleDecideChunk(w int) {
-	toPlace := se.staleToPlace
-	chunk := (toPlace + se.workers - 1) / se.workers
-	lo := w * chunk
-	hi := lo + chunk
-	if hi > toPlace {
-		hi = toPlace
+	lo, hi := se.chunkOf(w, 0, se.staleToPlace)
+	if lo >= hi {
+		return
 	}
 	perBall := se.d
+	se.kern.gather(se.staleBuf[lo*perBall:hi*perBall], se.ldv[lo*perBall:hi*perBall])
 	for b := lo; b < hi; b++ {
 		samples := se.staleBuf[b*perBall : (b+1)*perBall]
 		ldv := se.ldv[b*perBall : (b+1)*perBall]

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/loadvec"
@@ -12,12 +13,16 @@ import (
 // This file pins the sharded superstep engine's contracts (shard.go):
 //
 //   - P-independence: for ANY shard count >= 2 (and any GOMAXPROCS) the
-//     Report is byte-identical — the owner-shard merge is positional and
-//     the decide chunks share no state.
+//     Report is byte-identical — each worker gathers and decides its own
+//     contiguous chunk of rounds into positional snapshot cells, the store
+//     is read-only during the phase, and the chunks share no state.
 //   - serial exactness where semantics allow: SingleChoice and StaleBatch
 //     at any block size; the load-coupled round policies at Block = 1
 //     (one-round blocks see fresh loads, and the pre-drawn stream is the
 //     serial stream by FillRounds' replay guarantee).
+//   - the wide-block law itself: every round is decided against the loads
+//     as of its block start, checked against an oracle written from the
+//     definitions (TestShardedMatchesBlockSnapshotOracle).
 //   - bounded divergence where exactness is impossible: wide-block
 //     sharding changes only the staleness of the loads a round sees, so
 //     gap statistics must stay within coupling distance of serial.
@@ -26,10 +31,10 @@ import (
 // cross-worker access ordered, so any missing happens-before is caught
 // even on a single-CPU host (GOMAXPROCS is forced up where needed).
 
-// shardStores is the store sweep of the bit-identity properties: one
-// loadElem stencil representative (dense), the escape-coded compact store,
-// and the hand-specialized nibble packing.
-var shardStores = []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreNibble}
+// shardStores is the store sweep of the bit-identity properties: all five
+// stores, so the one gather kernel per store (the loadElem stencils, the
+// nibble unpack, the sketch estimate) is pinned on every layout.
+var shardStores = []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble, loadvec.StoreSketch}
 
 // shardExactCases enumerates (policy, params) pairs whose sharded rounds
 // promise serial bit-identity at Block = 1.
@@ -76,7 +81,8 @@ func withStore(p Params, store loadvec.StoreKind) Params {
 // Report must be byte-identical for every shard count — the chunk
 // partition is the only P-dependent quantity and must not leak into
 // results. OnePlusBeta (serial-divergent by design) is covered here too:
-// its sharded law must still be P-independent.
+// its sharded law must still be P-independent. Blocks 1 and 3 (and the
+// 3-ball StaleBatch round) leave some workers an empty chunk.
 func TestShardedReportIndependentOfShardCount(t *testing.T) {
 	const seed, m = 424242, 901
 	cases := append(shardExactCases[:len(shardExactCases):len(shardExactCases)],
@@ -84,10 +90,15 @@ func TestShardedReportIndependentOfShardCount(t *testing.T) {
 			name   string
 			policy Policy
 			p      Params
-		}{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.7}})
+		}{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.7}},
+		struct {
+			name   string
+			policy Policy
+			p      Params
+		}{"stale-batch", StaleBatch, Params{N: 96, K: 3, D: 2}})
 	for _, tc := range cases {
 		for _, store := range shardStores {
-			for _, block := range []int{1, 7, 64} {
+			for _, block := range []int{1, 3, 7, 64} {
 				var ref *Process
 				for _, shards := range []int{2, 3, 4, 8} {
 					p := withStore(tc.p, store)
@@ -225,6 +236,122 @@ func TestShardedResetInvalidatesDecisions(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesBlockSnapshotOracle pins the wide-block sharded law
+// against blockOracle, a plain-slice process written from the definitions
+// rather than from any engine path, so a window bug shared by every shard
+// count cannot hide behind the P-vs-P sweeps. The mid-block Reset makes the
+// engine re-decide a window that starts past round 0 of its block.
+func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
+	const seed = 2718
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		p      Params
+	}{
+		{"kd", KDChoice, Params{N: 61, K: 3, D: 9}},
+		{"dchoice", DChoice, Params{N: 61, D: 3}},
+		{"stale-batch", StaleBatch, Params{N: 61, K: 5, D: 2}},
+	} {
+		for _, block := range []int{7, 64} {
+			p := tc.p
+			p.Shards = 2
+			p.Block = block
+			got := MustNew(tc.policy, p, xrand.New(seed))
+			o := &blockOracle{policy: tc.policy, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
+			for leg, m := range []int{100, 250} {
+				if leg > 0 { // 34 (kd) / 100 (dchoice) rounds in: mid-block
+					got.Reset()
+					o.reset()
+				}
+				got.Place(m)
+				o.place(m)
+				loads := got.Loads()
+				for b, want := range o.loads {
+					if loads[b] != want {
+						t.Fatalf("%s/block=%d/leg=%d: bin %d load %d, oracle %d", tc.name, block, leg, b, loads[b], want)
+					}
+				}
+			}
+			got.Close()
+		}
+	}
+}
+
+// blockOracle decides every round against snap, the loads as of the round's
+// block start (for StaleBatch, of the round start), then applies the round.
+// It draws the serial per-round prologue from its own stream: d samples then
+// the nonce (StaleBatch: the nonce, then every ball's samples).
+type blockOracle struct {
+	policy      Policy
+	p           Params
+	rng         *xrand.Rand
+	loads, snap []int
+	round       int // rounds drawn so far; Reset does not rewind it
+}
+
+func (o *blockOracle) reset() {
+	clear(o.loads)
+	clear(o.snap) // the rest of the block is re-decided against empty bins
+}
+
+func (o *blockOracle) place(m int) {
+	size := 1
+	if o.policy != DChoice {
+		size = o.p.K
+	}
+	for ; m > 0; m -= size {
+		o.roundOf(min(size, m))
+	}
+}
+
+func (o *blockOracle) roundOf(toPlace int) {
+	if o.policy == StaleBatch || o.round%o.p.Block == 0 {
+		copy(o.snap, o.loads)
+	}
+	o.round++
+	samples := make([]int, o.p.D)
+	if o.policy == StaleBatch {
+		nonce := o.rng.Uint64()
+		for b := 0; b < toPlace; b++ {
+			o.rng.FillIntn(samples, o.p.N)
+			o.loads[o.argmin(samples, nonce, b)]++ // decided on snap: order-free
+		}
+		return
+	}
+	o.rng.FillIntn(samples, o.p.N)
+	nonce := o.rng.Uint64()
+	if o.policy == DChoice {
+		o.loads[o.argmin(samples, nonce, 0)]++
+		return
+	}
+	// (k,d)-choice: the c-th sample of bin b is the slot (b, snap[b]+c); the
+	// toPlace least slots under (height, tieKey, bin) each receive a ball.
+	var slots []slot
+	seen := map[int]int{}
+	for _, b := range samples {
+		seen[b]++
+		h := o.snap[b] + seen[b]
+		slots = append(slots, slot{bin: b, height: h, tie: tieKey(nonce, b, h)})
+	}
+	sort.Slice(slots, func(i, j int) bool { return slotLess(slots[i], slots[j]) })
+	for _, s := range slots[:toPlace] {
+		o.loads[s.bin]++
+	}
+}
+
+// argmin is the least snapshot-loaded sample, ties between distinct bins
+// broken by the ball-keyed hash of the bin (ball = 0 for d-choice).
+func (o *blockOracle) argmin(samples []int, nonce uint64, ball int) int {
+	key := func(b int) uint64 { return mix64(nonce ^ uint64(ball)<<32 ^ uint64(b)*0x9e3779b97f4a7c15) }
+	best := samples[0]
+	for _, b := range samples[1:] {
+		if o.snap[b] < o.snap[best] || (o.snap[b] == o.snap[best] && key(b) < key(best)) {
+			best = b
+		}
+	}
+	return best
+}
+
 // TestShardedKernelSeam: forcing the interface kernel after New must
 // reroute the sharded gather too (the engine re-reads pr.kern each
 // superstep); specialized and interface sharded runs stay bit-identical.
@@ -354,6 +481,11 @@ func TestShardedAllocationFree(t *testing.T) {
 		{"stale-batch/shards=2", StaleBatch, Params{N: 4096, K: 32, D: 3, Shards: 2}},
 		{"stale-batch/shards=4", StaleBatch, Params{N: 4096, K: 32, D: 3, Shards: 4}},
 		{"stale-batch/shards=8/nibble", StaleBatch, Params{N: 4096, K: 32, D: 3, Shards: 8, Store: loadvec.StoreNibble}},
+		// More workers than rounds per block (balls per round): the
+		// trailing workers' chunks are empty.
+		{"kd/shards=8/block=3", KDChoice, Params{N: 4096, K: 2, D: 64, Shards: 8, Block: 3}},
+		{"dchoice/shards=8/block=3/sketch", DChoice, Params{N: 4096, D: 3, Shards: 8, Block: 3, Store: loadvec.StoreSketch}},
+		{"stale-batch/shards=8/k=3", StaleBatch, Params{N: 4096, K: 3, D: 3, Shards: 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

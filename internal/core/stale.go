@@ -17,15 +17,15 @@ package core
 // shared state, the decision phase is embarrassingly parallel: with
 // Params.Shards > 1 (or 0 = auto on a multi-CPU host) the round runs as a
 // one-round-wide superstep of the sharded engine (shard.go) — all
-// randomness drawn serially up front in the exact serial order, the
-// gather and per-ball argmin phases fanned out over the persistent worker
-// pool — so the sharded round is bit-identical to the serial one (pinned
-// by TestStaleBatchShardedMatchesSerial, including under -race) and
-// allocation-free in steady state. Placements are applied serially in
-// ball order afterwards, exactly as in the serial path. StaleBatch is the
-// one policy whose sharding is exact for any block size; the load-coupled
-// round policies shard under the same engine with a within-block
-// staleness tradeoff instead (see shard.go).
+// randomness drawn serially up front in the exact serial order, then one
+// gather-and-argmin phase over contiguous chunks of the round's balls on
+// the persistent worker pool — so the sharded round is bit-identical to
+// the serial one (pinned by TestStaleBatchShardedMatchesSerial, including
+// under -race) and allocation-free in steady state. Placements are applied
+// serially in ball order afterwards, exactly as in the serial path.
+// StaleBatch is the one policy whose sharding is exact for any block size;
+// the load-coupled round policies shard under the same engine with a
+// within-block staleness tradeoff instead (see shard.go).
 
 // The per-ball decision scan lives in kernel.go: kern.staleDecide for the
 // serial store-reading path, argminLdv over the gathered snapshot for the

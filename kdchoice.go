@@ -367,11 +367,12 @@ type Config struct {
 	// SketchDepth is the count-min row count (independent hash rows, at
 	// most 8) when Store is StoreSketch; 0 applies the default (2).
 	SketchDepth int
-	// Shards engages the sharded superstep engine: bins are partitioned
-	// across this many workers, each block of rounds is decided in
-	// parallel against a frozen load snapshot (all randomness pre-drawn
-	// serially, so the stream never depends on the worker count), and
-	// placements apply serially in round order. Results are bit-identical
+	// Shards engages the sharded superstep engine with this many workers:
+	// each block of rounds is split into contiguous per-worker chunks that
+	// are gathered and decided in one parallel phase against the
+	// block-start loads (all randomness pre-drawn serially, so the stream
+	// never depends on the worker count), and placements apply serially in
+	// round order. Results are bit-identical
 	// across ANY shard count >= 2. Relative to serial: StaleBatch and
 	// SingleChoice are bit-identical always; KDChoice, fixed-σ
 	// Serialized, DChoice, and CoarseDChoice are bit-identical at

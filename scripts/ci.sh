@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — the repository's check pipeline.
 #
-#   scripts/ci.sh          format check, vet, kdlint, build, full tests, a
+#   scripts/ci.sh          format check, vet, kdlint, the bench module's
+#                          vet/test/kdlint, build, full tests, a
 #                          tree-wide -race pass, parser fuzz smokes, the
 #                          hot-path escape gate, and quick-mode bench +
 #                          scale smoke runs (exercising every store and
@@ -46,6 +47,11 @@ echo "==> kdlint (determinism / hot-path / layering / seedflow analyzers)"
 # contract, and hotpath rejects alloc-risk constructs in //kd:hotpath
 # kernels. Zero unsuppressed diagnostics is the bar.
 go run ./cmd/kdlint ./...
+
+echo "==> bench module: vet, test, kdlint (the nested repro/bench module)"
+# bench/ is its own Go module, so the ./... patterns above never reach it;
+# an internal API change that breaks the benchmark build fails here.
+(cd bench && go vet ./... && go test ./... && go run repro/cmd/kdlint ./...)
 
 echo "==> go build ./..."
 go build ./...
