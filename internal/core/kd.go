@@ -14,6 +14,18 @@ func (pr *Process) roundPrologue() uint64 {
 	return pr.rng.Uint64()
 }
 
+// peekNext returns the next pre-drawn round's samples (nil when there is
+// none; see roundEngine.peekNext): the prefetch target of the current
+// round's selection.
+//
+//kd:hotpath
+func (pr *Process) peekNext() []int {
+	if pr.eng == nil {
+		return nil
+	}
+	return pr.eng.peekNext()
+}
+
 // roundKD executes one round of the (k,d)-choice process, placing toPlace
 // balls (toPlace = k except possibly in a final partial round).
 //

@@ -11,10 +11,10 @@ package core
 // histogram store): the three element widths have distinct GC shapes, so
 // the compiler stencils a full instantiation per store in which indexing
 // the load slice is straight-line inlined code the optimizer can
-// bounds-check-eliminate, schedule, and overlap across loop iterations.
-// (Generics over the store POINTER types would not achieve this: all
-// pointers share one GC shape, so their method calls stay behind a shared
-// dictionary and cost as much as interface dispatch.) The compact store's
+// bounds-check-eliminate and schedule. (Generics over the store POINTER
+// types would not achieve this: all pointers share one GC shape, so their
+// method calls stay behind a shared dictionary and cost as much as
+// interface dispatch.) The compact store's
 // escape sentinel rides along as a plain value — a cell equal to esc
 // defers to the wide side table; dense and hist pass esc = -1, which no
 // cell can hold, so their escape branch is statically dead weight only.
@@ -33,8 +33,30 @@ package core
 // against in store_equivalence_test.go. The store-free ranking tail
 // (rankFromSlots in select.go) is shared by every path, so the selection
 // logic itself cannot drift.
+//
+// Memory latency. A direct index does not make a big-n gather fast: at
+// n = 10⁸ (a 200 MB compact array, d = 64) a CPU profile of the serial
+// round gave 52% to gatherTyped, 39% to the selection scan and 6% to the
+// pre-draw. The gather stalls on d DRAM (and, with 4 KB pages, TLB)
+// misses, and then the selection runs with no miss in flight. The kernels
+// therefore overlap the two phases across rounds: the superstep pre-draw
+// already knows the next round's samples (roundEngine.peekNext), so
+// fastSelect hands them to the selector as a prefetch target
+// (selector.prefetchNext) and the selection scan of round r issues
+// non-blocking prefetches (prefetchIdx, assembly) for round r+1's load
+// lines, 8 samples every 8 samples. Round r+1's gather then finds its
+// lines in cache. The sharded chunk kernel (shard.go) does the same
+// within a worker's chunk. Arrays below prefetchMinBytes are not
+// prefetched: their gathers hit cache anyway. loadvec backs the big arrays with transparent
+// huge pages, which removes most of the TLB misses. With both, the same
+// profile gives gatherTyped ~5% and charges ~32% to prefetchIdx: the
+// misses now wait there for free fill buffers, overlapped with the
+// selection, instead of serializing in the gather. Nothing here reads the
+// store early or changes a result: a prefetch writes no memory.
 
 import (
+	"unsafe"
+
 	"repro/internal/loadvec"
 	"repro/internal/sketch"
 )
@@ -83,6 +105,37 @@ type kernelOps interface {
 	// round chunk (shard.go). Read-only on the store and positional on ldv,
 	// so workers gathering disjoint chunks of one snapshot run concurrently.
 	gather(samples, ldv []int)
+	// rawView returns the prefetch view of the store's load array (see
+	// prefetchView), or a nil base when the kernels do not prefetch: the
+	// array is small, or loads are not one indexed read each (sketch,
+	// interface fallback).
+	rawView() (base unsafe.Pointer, bits uint)
+}
+
+// prefetchMinBytes is the smallest load array the kernels prefetch. A
+// smaller array stays in the private L2 or the L3 on common hosts, so its
+// gather already hits cache and the prefetch calls would be pure cost
+// (an 800 KB dense store ran a median 11% slower with them).
+const prefetchMinBytes = 4 << 20
+
+// prefetchView is the prefetch view of a raw load array of n elements,
+// each bits wide, at base: base and bits, or a nil base when the array is
+// below prefetchMinBytes.
+//
+//kd:hotpath
+func prefetchView(base unsafe.Pointer, n int, bits uint) (unsafe.Pointer, uint) {
+	if n < prefetchMinBytes*8/int(bits) {
+		return nil, 0
+	}
+	return base, bits
+}
+
+// rawViewOf is prefetchView over an element-typed raw load array.
+//
+//kd:hotpath
+func rawViewOf[E loadElem](raw []E) (unsafe.Pointer, uint) {
+	var e E
+	return prefetchView(unsafe.Pointer(unsafe.SliceData(raw)), len(raw), uint(unsafe.Sizeof(e))*8)
 }
 
 // newKernel returns the kernel specialized to the concrete store type, or
@@ -137,6 +190,7 @@ func (k kernDense) loadAt(bin int) int  { return k.s.Load(bin) }
 func (k kernDense) gather(samples, ldv []int) {
 	gatherTyped(samples, ldv, k.s.RawLoads(), -1, nil)
 }
+func (k kernDense) rawView() (unsafe.Pointer, uint) { return rawViewOf(k.s.RawLoads()) }
 
 // kernCompact is the kernel over the 2-bytes/bin compact store.
 type kernCompact struct{ s *loadvec.CompactStore }
@@ -161,6 +215,10 @@ func (k kernCompact) gather(samples, ldv []int) {
 	small, wide := k.s.RawLoads()
 	gatherTyped(samples, ldv, small, loadvec.CompactEscape, wide)
 }
+func (k kernCompact) rawView() (unsafe.Pointer, uint) {
+	small, _ := k.s.RawLoads()
+	return rawViewOf(small)
+}
 
 // kernHist is the kernel over the histogram-indexed store.
 type kernHist struct{ s *loadvec.HistStore }
@@ -182,6 +240,7 @@ func (k kernHist) loadAt(bin int) int  { return k.s.Load(bin) }
 func (k kernHist) gather(samples, ldv []int) {
 	gatherTyped(samples, ldv, k.s.RawLoads(), -1, nil)
 }
+func (k kernHist) rawView() (unsafe.Pointer, uint) { return rawViewOf(k.s.RawLoads()) }
 
 // kernNibble is the kernel over the 4-bits/bin packed store: the gather
 // loops unpack the nibble inline (one shift + mask per read) with the same
@@ -192,6 +251,9 @@ type kernNibble struct{ s *loadvec.NibbleStore }
 
 func (k kernNibble) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	k.gather(pr.samples, pr.ldv)
+	if base, bits := k.rawView(); base != nil {
+		pr.selsc.prefetchNext(base, bits, pr.peekNext())
+	}
 	return pr.probeAndRank(nonce, toPlace)
 }
 func (k kernNibble) staleDecide(nonce uint64, ball int, samples []int) int {
@@ -209,6 +271,10 @@ func (k kernNibble) loadAt(bin int) int  { return k.s.Load(bin) }
 func (k kernNibble) gather(samples, ldv []int) {
 	packed, wide := k.s.RawLoads()
 	gatherNibble(samples, ldv, packed, wide)
+}
+func (k kernNibble) rawView() (unsafe.Pointer, uint) {
+	packed, _ := k.s.RawLoads()
+	return prefetchView(unsafe.Pointer(unsafe.SliceData(packed)), 2*len(packed), 4)
 }
 
 // kernSketch is the kernel over the count-min approximate store: every
@@ -259,6 +325,7 @@ func (k kernSketch) gather(samples, ldv []int) {
 	rows, seeds, mask := k.s.RawSketch().Raw()
 	gatherSketch(samples, ldv, rows, seeds, mask)
 }
+func (k kernSketch) rawView() (unsafe.Pointer, uint) { return nil, 0 }
 
 // kernIface is the interface-dispatch fallback kernel: every bin access
 // goes through loadvec.Store exactly as the pre-specialization engine did.
@@ -306,16 +373,23 @@ func (k kernIface) gather(samples, ldv []int) {
 		ldv[i] = k.s.Load(b)
 	}
 }
+func (k kernIface) rawView() (unsafe.Pointer, uint) { return nil, 0 }
 
 // fastSelectTyped is the specialized entry of the counting kernel: the
 // load-gather pass reads every sampled bin's load through a direct inlined
-// index into the raw array — d independent reads in a tight loop the CPU
-// overlaps at full memory-level parallelism, which is where the interface
-// path loses — and hands off to the shared store-free probe/rank pass.
+// index into the raw array, then the shared store-free probe/rank pass
+// runs with the next pre-drawn round as its prefetch target (arrays of at
+// least prefetchMinBytes). At big n the gather alone cannot hide its
+// misses — each read waits on DRAM — so the misses are moved into the
+// previous round's selection scan (see the file comment); round r's
+// gather mostly hits lines round r-1 requested.
 //
 //kd:hotpath
 func fastSelectTyped[E loadElem](pr *Process, raw []E, esc int, wide map[int]int, nonce uint64, toPlace int) []slot {
 	gatherTyped(pr.samples, pr.ldv, raw, esc, wide)
+	if base, bits := rawViewOf(raw); base != nil {
+		pr.selsc.prefetchNext(base, bits, pr.peekNext())
+	}
 	return pr.probeAndRank(nonce, toPlace)
 }
 

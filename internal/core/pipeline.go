@@ -217,6 +217,23 @@ func (p *roundEngine) next() *kdRound {
 	return &p.cur
 }
 
+// peekNext returns the samples the following next() call will yield,
+// without consuming them, so the kernel can prefetch that round's load
+// lines while it selects the current one. It returns nil when that round
+// is not drawn yet — the current round is the block's last, or no round
+// has been consumed — and in async mode, the Pipeline path, which keeps
+// its unprefetched behaviour. The slice aliases the local block like
+// next()'s.
+//
+//kd:hotpath
+func (p *roundEngine) peekNext() []int {
+	i := p.idx
+	if i >= p.rounds || !p.inline {
+		return nil
+	}
+	return p.local.samples[i*p.d : (i+1)*p.d]
+}
+
 // nextBlock refills and returns the whole local block at once. The sharded
 // superstep engine (shard.go) consumes blocks wholesale — it decides every
 // round of a block in one parallel phase — so it bypasses the per-round

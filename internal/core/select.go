@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"unsafe"
+)
 
 // This file is the round engine's selection kernel: given the d samples of a
 // round it materializes the conceptual slots (the i-th sample of bin b has
@@ -80,6 +83,14 @@ type selector struct {
 	slots []slot
 	sel   []slot
 	bnd   []slot
+
+	// The prefetch target of the round after the one being ranked: the
+	// raw load array's base, its element width in bits, and that round's
+	// samples (see prefetchNext). Not a read of the store: prefetches
+	// change no memory and no result.
+	pfBase unsafe.Pointer
+	pfBits uint
+	pfNext []int
 }
 
 // newSelector sizes a selection lane for rounds of d samples.
@@ -93,6 +104,26 @@ func newSelector(d int) *selector {
 		slots: make([]slot, d),
 		sel:   make([]slot, 0, d),
 		bnd:   make([]slot, 0, d),
+	}
+}
+
+// prefetchNext sets the prefetch target of the next probeAndRank call:
+// while its scan ranks the current round it requests the load lines of
+// next, 8 samples every 8 samples, so those loads are in flight during the
+// selection instead of stalling the next round's gather. The target holds
+// for one scan; nil next (no pre-drawn next round) prefetches nothing.
+//
+//kd:hotpath
+func (sc *selector) prefetchNext(base unsafe.Pointer, bits uint, next []int) {
+	sc.pfBase, sc.pfBits, sc.pfNext = base, bits, next
+}
+
+// prefetchAt requests the load lines of the target's samples [i, i+8).
+//
+//kd:hotpath
+func (sc *selector) prefetchAt(i int) {
+	if next := sc.pfNext; i < len(next) {
+		prefetchIdx(sc.pfBase, next[i:min(i+8, len(next))], sc.pfBits)
 	}
 }
 
@@ -137,6 +168,9 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 		worst := -1
 		var wslot slot // register copy of topk[worst]: the compare touches no memory
 		for i, b := range samples {
+			if i&7 == 0 {
+				sc.prefetchAt(i)
+			}
 			key := uint64(b+1) << 32
 			h := int((uint64(uint32(b)) * 0x9e3779b97f4a7c15) >> 32)
 			var ht int
@@ -173,6 +207,7 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 				wslot = topk[worst]
 			}
 		}
+		sc.pfNext = nil
 		sortSlots(topk)
 		sc.sel = topk
 		return topk
@@ -182,6 +217,9 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 	minH := int(^uint(0) >> 1)
 	maxH := 0
 	for i, b := range samples {
+		if i&7 == 0 {
+			sc.prefetchAt(i)
+		}
 		key := uint64(b+1) << 32
 		h := int((uint64(uint32(b)) * 0x9e3779b97f4a7c15) >> 32)
 		var ht int
@@ -213,6 +251,7 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 		}
 		slots[i] = slot{bin: b, height: ht}
 	}
+	sc.pfNext = nil
 	sc.slots = slots
 	return sc.rankFromSlots(nonce, toPlace, minH, maxH)
 }

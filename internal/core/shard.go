@@ -17,10 +17,12 @@ package core
 //     count and any block size. Randomness NEVER depends on P.
 //  2. gather + decide (parallel, ONE pool dispatch): the window's rounds
 //     (for StaleBatch, the round's balls) are split into contiguous
-//     chunks, one per worker. Each worker gathers its chunk's loads into
-//     its own cells of the positional snapshot with the store's serial
-//     gather kernel, then runs the policy's store-free decision kernel
-//     (selector / argminLdv) over those cells. Nothing writes to the store
+//     chunks, one per worker. Each worker walks its chunk round by round:
+//     it gathers the round's loads into its own cells of the positional
+//     snapshot with the store's serial gather kernel, then runs the
+//     policy's store-free decision kernel (selector / argminLdv) over
+//     those cells while prefetching the next round's load lines, so the
+//     next gather finds them in cache. Nothing writes to the store
 //     during the phase, so every snapshot cell holds the block-start load
 //     of its sample whichever worker reads it: the snapshot, and every
 //     decision made from it, is a pure function of (samples, loads),
@@ -331,20 +333,27 @@ func (se *shardEngine) chunkOf(w, base, n int) (lo, hi int) {
 }
 
 // decideChunk gathers and decides worker w's contiguous chunk of the
-// window's rounds. Each round is decided independently (own samples, own
-// snapshot cells, own nonce; kd workers use their own selector lane), so
-// the chunk boundaries — the only P-dependent quantity — cannot influence
-// any decision.
+// window's rounds, one round at a time: gather round r — its load lines
+// were requested while round r-1 was decided — then decide r while
+// prefetching round r+1's lines. Each round is decided independently (own
+// samples, own snapshot cells, own nonce; kd workers use their own
+// selector lane), so the chunk boundaries — the only P-dependent quantity
+// — cannot influence any decision.
 func (se *shardEngine) decideChunk(w int) {
 	lo, hi := se.chunkOf(w, se.winLo, se.block-se.winLo)
 	if lo >= hi {
 		return
 	}
 	d := se.d
-	se.kern.gather(se.blk.samples[lo*d:hi*d], se.ldv[lo*d:hi*d])
+	base, bits := se.kern.rawView()
 	for r := lo; r < hi; r++ {
 		samples := se.blk.samples[r*d : (r+1)*d]
 		ldv := se.ldv[r*d : (r+1)*d]
+		se.kern.gather(samples, ldv)
+		var next []int
+		if base != nil && r+1 < hi {
+			next = se.blk.samples[(r+1)*d : (r+2)*d]
+		}
 		nonce := se.blk.nonces[r]
 		switch se.policy {
 		case KDChoice, SerializedKD:
@@ -352,14 +361,18 @@ func (se *shardEngine) decideChunk(w int) {
 			// first toPlace ranks, which is exactly the serial partial
 			// round's selection (the toPlace smallest slots of a strict
 			// total order are a prefix of the k smallest, ranked).
-			sel := se.sels[w].probeAndRank(samples, ldv, nonce, se.k)
-			base := r * se.k
+			sc := se.sels[w]
+			sc.prefetchNext(base, bits, next)
+			sel := sc.probeAndRank(samples, ldv, nonce, se.k)
+			kb := r * se.k
 			for i := range sel {
-				se.dests[base+i] = sel[i].bin
+				se.dests[kb+i] = sel[i].bin
 			}
 		case OnePlusBeta:
+			prefetchIdx(base, next, bits)
 			se.decideOnePlusBeta(r, samples, ldv, nonce)
 		default: // DChoice, CoarseDChoice
+			prefetchIdx(base, next, bits)
 			se.dests[r] = argminLdv(samples, ldv, nonce, 0, se.quantum)
 		}
 	}

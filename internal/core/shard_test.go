@@ -486,6 +486,10 @@ func TestShardedAllocationFree(t *testing.T) {
 		{"kd/shards=8/block=3", KDChoice, Params{N: 4096, K: 2, D: 64, Shards: 8, Block: 3}},
 		{"dchoice/shards=8/block=3/sketch", DChoice, Params{N: 4096, D: 3, Shards: 8, Block: 3, Store: loadvec.StoreSketch}},
 		{"stale-batch/shards=8/k=3", StaleBatch, Params{N: 4096, K: 3, D: 3, Shards: 8}},
+		// Bin arrays past loadvec's huge-page threshold (4 MB), through the
+		// prefetching chunk kernel.
+		{"kd/shards=2/compact/huge", KDChoice, Params{N: 1 << 22, K: 2, D: 64, Shards: 2, Store: loadvec.StoreCompact}},
+		{"kd/shards=2/nibble/huge", KDChoice, Params{N: 1 << 23, K: 2, D: 64, Shards: 2, Store: loadvec.StoreNibble}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

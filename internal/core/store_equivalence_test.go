@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -399,6 +400,50 @@ func TestSpecializedKernelMatchesInterface(t *testing.T) {
 	}
 }
 
+// TestPrefetchingKernelsMatchInterface: on load arrays of at least
+// prefetchMinBytes the specialized kernels prefetch the next round's load
+// lines during the selection, serial and sharded. The results must stay
+// bit-identical to the interface kernel, which never prefetches. D = 13
+// leaves a partial 8-sample prefetch group; Block 3 puts a block boundary
+// (no next round to prefetch) every third round.
+func TestPrefetchingKernelsMatchInterface(t *testing.T) {
+	const seed, m = 4242, 3001
+	for _, st := range []struct {
+		kind loadvec.StoreKind
+		n    int
+	}{
+		{loadvec.StoreDense, prefetchMinBytes / 8},
+		{loadvec.StoreCompact, prefetchMinBytes / 2},
+		{loadvec.StoreHist, prefetchMinBytes / 4},
+		{loadvec.StoreNibble, 2 * prefetchMinBytes},
+	} {
+		for _, policy := range []Policy{KDChoice, DChoice} {
+			for _, shards := range []int{0, 2} {
+				for _, block := range []int{0, 3} {
+					p := Params{N: st.n, K: 3, D: 13, Store: st.kind, Shards: shards, Block: block}
+					if policy == DChoice {
+						p.K = 0
+					}
+					stage := fmt.Sprintf("%v/%v/shards=%d/block=%d", st.kind, policy, shards, block)
+					ref := MustNew(policy, p, xrand.New(seed))
+					ref.forceInterfaceKernel()
+					got := MustNew(policy, p, xrand.New(seed))
+					if base, _ := got.kern.rawView(); base == nil {
+						t.Fatalf("%s: kernel does not prefetch a %d-bin store", stage, st.n)
+					}
+					ref.Place(m)
+					got.Place(m)
+					if !slices.Equal(ref.Loads(), got.Loads()) || ref.Messages() != got.Messages() || ref.MaxLoad() != got.MaxLoad() {
+						t.Fatalf("%s: prefetching kernel diverged from the interface kernel", stage)
+					}
+					ref.Close()
+					got.Close()
+				}
+			}
+		}
+	}
+}
+
 // TestInterfaceKernelBlockMatrix closes the loop the other way: the
 // interface kernel itself run at every block size matches the specialized
 // default — superstep batching and kernel dispatch are independent axes.
@@ -450,7 +495,7 @@ func TestBlockValidation(t *testing.T) {
 
 // TestRoundAllocationFreeKernels extends the zero-allocs-per-round pin to
 // the specialized kernels across stores and superstep sizes, including
-// B=1 (a refill every round) and a non-divisor B.
+// B=1 (a refill every round), a non-divisor B, and huge-page-sized stores.
 func TestRoundAllocationFreeKernels(t *testing.T) {
 	cases := []struct {
 		name string
@@ -465,6 +510,10 @@ func TestRoundAllocationFreeKernels(t *testing.T) {
 		{"nibble/block=3", Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreNibble, Block: 3}},
 		{"sketch/auto", Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreSketch}},
 		{"large-k/auto", Params{N: 4096, K: 16, D: 48}},
+		// Bin arrays past loadvec's huge-page threshold (4 MB): the
+		// advised stores and the next-round prefetch stay allocation-free.
+		{"compact/huge", Params{N: 1 << 22, K: 2, D: 64, Store: loadvec.StoreCompact}},
+		{"nibble/huge", Params{N: 1 << 23, K: 2, D: 64, Store: loadvec.StoreNibble}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

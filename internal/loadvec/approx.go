@@ -43,7 +43,9 @@ type NibbleStore struct {
 
 // NewNibble returns an empty nibble-packed store over n bins.
 func NewNibble(n int) *NibbleStore {
-	return &NibbleStore{packed: make([]uint8, (n+1)/2), wide: make(map[int]int), n: n}
+	s := &NibbleStore{packed: make([]uint8, (n+1)/2), wide: make(map[int]int), n: n}
+	adviseHuge(s.packed)
+	return s
 }
 
 // Kind implements Store.
@@ -370,6 +372,8 @@ func NewSketch(n, width, depth int) (*SketchStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loadvec: %w", err)
 	}
+	rows, _, _ := cm.Raw()
+	adviseHuge(rows)
 	return &SketchStore{cm: cm, n: n}, nil
 }
 

@@ -207,7 +207,9 @@ type DenseStore struct {
 
 // NewDense returns an empty dense store over n bins.
 func NewDense(n int) *DenseStore {
-	return &DenseStore{loads: make([]int, n)}
+	s := &DenseStore{loads: make([]int, n)}
+	adviseHuge(s.loads)
+	return s
 }
 
 // Kind implements Store.
@@ -359,7 +361,9 @@ type CompactStore struct {
 
 // NewCompact returns an empty compact store over n bins.
 func NewCompact(n int) *CompactStore {
-	return &CompactStore{small: make([]uint16, n), wide: make(map[int]int)}
+	s := &CompactStore{small: make([]uint16, n), wide: make(map[int]int)}
+	adviseHuge(s.small)
+	return s
 }
 
 // Kind implements Store.
@@ -660,7 +664,9 @@ type HistStore struct {
 
 // NewHist returns an empty histogram-indexed store over n bins.
 func NewHist(n int) *HistStore {
-	return &HistStore{loads: make([]int32, n), count: []int{n}}
+	s := &HistStore{loads: make([]int32, n), count: []int{n}}
+	adviseHuge(s.loads)
+	return s
 }
 
 // Kind implements Store.

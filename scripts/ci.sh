@@ -2,7 +2,8 @@
 # ci.sh — the repository's check pipeline.
 #
 #   scripts/ci.sh          format check, vet, kdlint, the bench module's
-#                          vet/test/kdlint, build, full tests, a
+#                          vet/test/kdlint, build, arm64/386/darwin
+#                          cross-builds, full tests, a
 #                          tree-wide -race pass, parser fuzz smokes, the
 #                          hot-path escape gate, and quick-mode bench +
 #                          scale smoke runs (exercising every store and
@@ -55,6 +56,17 @@ echo "==> bench module: vet, test, kdlint (the nested repro/bench module)"
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> cross-compile: arm64, 386, darwin (assembly and build-tagged fallbacks)"
+# The next-round prefetch is assembly on amd64 and arm64 with a Go no-op on
+# every other port, and the huge-page advice is Linux-only with a no-op
+# elsewhere: build each variant so none of them rots, and vet the arm64
+# build so asmdecl checks its assembly the way the host vet above checks
+# amd64's.
+GOARCH=arm64 go build ./...
+GOARCH=386 go build ./...
+GOOS=darwin go build ./...
+GOARCH=arm64 go vet ./internal/core/
 
 echo "==> go test ./..."
 go test ./...
