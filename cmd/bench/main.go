@@ -953,8 +953,10 @@ func runCompareFaults(path string, out io.Writer) error {
 }
 
 // compareCells returns the cells the -compare ratchet re-times — the
-// serial, 4-shard and pipelined acceptance cells (n=1e5, k=2, d=64) —
-// constructed directly rather than plucked from grid() by index, so
+// serial, 4-shard and pipelined acceptance cells (n=1e5, k=2, d=64), whose
+// k=2 rounds take the selector's small-k path, plus the k=8, d=16 and
+// k=128, d=192 cells, whose rounds take the flat ranker and the counting
+// path — constructed directly rather than plucked from grid() by index, so
 // reordering or extending the grid can never silently redirect the
 // ratchet. The sharded cell is the parallel-engine ratchet: a >15%
 // regression there means the superstep machinery itself (gather, pool
@@ -966,10 +968,16 @@ func compareCells() []cell {
 	sharded.Shards = 4
 	pipe := serial
 	pipe.Pipeline = true
+	flat := serial
+	flat.K, flat.D = 8, 16
+	counting := serial
+	counting.K, counting.D = 128, 192
 	return []cell{
 		{Name: cellName(serial), Cfg: serial},
 		{Name: cellName(sharded), Cfg: sharded},
 		{Name: cellName(pipe), Cfg: pipe},
+		{Name: cellName(flat), Cfg: flat},
+		{Name: cellName(counting), Cfg: counting},
 	}
 }
 

@@ -229,7 +229,8 @@ func TestRunCompareRatchet(t *testing.T) {
 	// impossibly fast time: one compare run then exercises the warning
 	// path (guaranteed regression) AND the missing-cell skip path, while
 	// re-timing just a single full-size cell — ci.sh already runs the real
-	// two-cell ratchet, so the test keeps the duplicate work minimal.
+	// ratchet over every compare cell, so the test keeps the duplicate work
+	// minimal.
 	tracked := report{Grid: []result{
 		{Name: cmpCells[0].Name, NsPerRound: 1},
 	}}

@@ -86,3 +86,25 @@ func BenchmarkPlaceAdaptiveKD(b *testing.B) {
 func BenchmarkPlaceSAx0(b *testing.B) {
 	benchPlace(b, SAx0, Params{N: 1 << 16, X0: 64})
 }
+
+// BenchmarkRoundHeavy times one (k,d)-choice round per op in the heavily
+// loaded regime the paper's Theorem 2 covers (d = 2k, m ≫ n), after a
+// warm-up of 50n balls on n = 1e5 dense bins. Shapes on both sides of the
+// flat ranker's d cutoff.
+func BenchmarkRoundHeavy(b *testing.B) {
+	const n = 100000
+	for _, tc := range []struct{ k, d int }{{5, 8}, {8, 16}, {12, 24}, {16, 32}, {24, 48}, {32, 64}} {
+		b.Run(fmt.Sprintf("k=%d,d=%d", tc.k, tc.d), func(b *testing.B) {
+			pr, err := New(KDChoice, Params{N: n, K: tc.k, D: tc.d}, xrand.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			pr.Place(50 * n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pr.Round()
+			}
+		})
+	}
+}

@@ -30,8 +30,8 @@ package core
 // kernIface, routes every access through the loadvec.Store interface: it
 // is the fallback for store implementations newKernel does not recognize,
 // and the reference the specialized kernels are pinned bit-identical
-// against in store_equivalence_test.go. The store-free ranking tail
-// (rankFromSlots in select.go) is shared by every path, so the selection
+// against in store_equivalence_test.go. The store-free ranking
+// (probeAndRank in select.go) is shared by every path, so the selection
 // logic itself cannot drift.
 //
 // Memory latency. A direct index does not make a big-n gather fast: at

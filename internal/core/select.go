@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"unsafe"
 )
@@ -13,27 +14,49 @@ import (
 //
 // Two implementations exist:
 //
-//   - the counting kernel, the default: O(d + k log k) expected. The
-//     store-specialized fused pass in kernel.go groups the samples with an
-//     epoch-stamped open-addressed table (O(d) space, reused clear-free
-//     across a whole superstep) and materializes the slots in the same
-//     scan, reading each distinct bin's load exactly once through a
-//     devirtualized store access; rankFromSlots below then locates the
-//     k-th smallest height by counting over the round's dense height
-//     window, deriving random tie keys lazily — only for slots at or below
-//     the boundary height — via a keyed hash of (bin, height) under a
-//     per-round nonce.
+//   - the fast kernel, the default: the store-specialized gather in
+//     kernel.go reads each sample's load once through a devirtualized store
+//     access, then probeAndRank below ranks the round on one of the three
+//     paths listed next, which all return the same ranked slice.
 //   - the reference kernel (Params.ReferenceSelect): the original
 //     sort-everything path, kept as the oracle the fast kernel is tested
 //     against.
 //
-// Both kernels consume the random stream identically (d sample draws plus
-// one nonce draw per round) and order slots by the same total order, so for
-// a fixed seed they select bitwise-identical slot sets — the property
+// The fast kernel's paths:
+//
+//   - toPlace <= 4: a streaming top-toPlace fused into the group-table
+//     probe scan.
+//   - the flat ranker, for toPlace > 4 and d <= flatMaxD when the d
+//     samples are distinct bins: all but ~d²/2n of rounds, 99.9% at d = 16
+//     and n = 10⁵. Every slot then sits at load+1, so the round needs no
+//     grouping: each sample packs into one (height, tie) key and a
+//     branch-free count over all d² key pairs ranks the round. A round it
+//     cannot rank exactly (a repeated bin, a load spread of 64 or more, a
+//     tie-prefix collision) falls through to the counting path.
+//   - the counting path: an epoch-stamped open-addressed table (O(d)
+//     space, reused clear-free across a whole superstep) groups the
+//     samples and materializes the slots in the same scan; rankFromSlots
+//     then locates the k-th smallest height by counting over the round's
+//     dense height window, deriving random tie keys lazily — only for
+//     slots at or below the boundary height.
+//
+// Tie keys are a keyed hash of (bin, height) under a per-round nonce. Both
+// kernels consume the random stream identically (d sample draws plus one
+// nonce draw per round) and order slots by the same total order, so for a
+// fixed seed they deliver bitwise-identical ranked slots — the property
 // TestFastSelectMatchesReference checks exhaustively. A keyed hash instead
 // of one rng.Uint64 per slot is what makes this possible: tie keys are a
-// pure function of (nonce, bin, height), so computing them lazily does not
-// perturb the stream.
+// pure function of (nonce, bin, height), so computing them lazily, or for
+// every slot as the flat ranker does, does not perturb the stream.
+//
+// Where the time goes. On the heavily loaded benchmark shape (k = 8,
+// d = 16, n = 10⁵) selection is most of a round: gather and apply hit
+// cache. The sampled loads there are not flat: over m = 200n…300n the
+// height spread of a round (max − min) was 1–3 in 88% of 1.25M rounds and
+// never above 10; every slot sat at one height in only 178 rounds. The
+// counting path pays for that spread with the histogram, the boundary
+// cohort and the final sort, and for the grouping with the table probe;
+// the flat ranker pays for neither.
 
 // tieKey derives the uniform tie-break key of the slot (bin, height) under
 // the round nonce. Distinct slots of one round hash distinct (bin, height)
@@ -136,10 +159,12 @@ func (pr *Process) probeAndRank(nonce uint64, toPlace int) []slot {
 	return pr.selsc.probeAndRank(pr.samples, pr.ldv[:len(pr.samples)], nonce, toPlace)
 }
 
-// probeAndRank is the store-free heart of the counting kernel, shared by
-// every kernel instantiation and every shard worker: ldv holds the load of
-// each sample (filled by the kernel's specialized gather pass), and one
-// scan over the samples probes the epoch-stamped group table and
+// probeAndRank is the store-free heart of the fast kernel, shared by every
+// kernel instantiation and every shard worker: ldv holds the load of each
+// sample (filled by the kernel's specialized gather pass). A round of
+// toPlace <= 4 takes the streaming path; a round the flat ranker can rank
+// exactly returns from flatRank. Any other round takes the counting path:
+// one scan over the samples probes the epoch-stamped group table and
 // materializes the conceptual slots (the i-th sample of bin b has height
 // load(b)+i). The slot SET and the final ranking are independent of slot
 // emission order (the total order on (height, tie, bin) is strict), so
@@ -212,6 +237,11 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 		sc.sel = topk
 		return topk
 	}
+	if toPlace > 4 && toPlace < len(samples) && len(samples) <= flatMaxD {
+		if sel, ok := sc.flatRank(samples, ldv, nonce, toPlace); ok {
+			return sel
+		}
+	}
 
 	slots := sc.slots[:len(samples)]
 	minH := int(^uint(0) >> 1)
@@ -256,11 +286,100 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 	return sc.rankFromSlots(nonce, toPlace, minH, maxH)
 }
 
+// flatMaxD is the largest round the flat ranker takes; a multiple of 4
+// (rankKeys counts four keys per pass). Its rank count costs d² key
+// compares. Measured against the counting path at n = 10⁵ in a heavy
+// state (2-vCPU Xeon VM): selection alone ran 2.9× faster at d = 16,
+// 2.1× at d = 32 and 1.7× at d = 48; whole (24,48) rounds
+// (BenchmarkRoundHeavy) ran 1.1–1.6× faster.
+const flatMaxD = 48
+
+// flatHeightBits is the width of a flat key's height field; a round whose
+// sampled loads spread over 1<<flatHeightBits or more falls through.
+const flatHeightBits = 6
+
+// flatRank ranks a round whose samples are distinct bins. Every slot then
+// sits one above its bin's load, so each sample packs into one key, its
+// height above the round's lowest load in the top flatHeightBits bits and
+// the top bits of its tie key below, and one branch-free count ranks all d
+// keys. With the keys pairwise distinct, key order is the (height, tie,
+// bin) order and the result equals the counting path's. Only a repeated
+// bin (same bin, same load, so the same tie) or a tie-prefix collision
+// repeats a key. ok is false then, and also when the loads spread too wide
+// for the height field: the caller falls through to the counting path. The
+// round's prefetches are issued here either way.
+//
+//kd:hotpath
+func (sc *selector) flatRank(samples, ldv []int, nonce uint64, toPlace int) (sel []slot, ok bool) {
+	ldv = ldv[:len(samples)]
+	lo, hi := ldv[0], ldv[0]
+	for i, l := range ldv {
+		if i&7 == 0 {
+			sc.prefetchAt(i)
+		}
+		lo = min(lo, l)
+		hi = max(hi, l)
+	}
+	sc.pfNext = nil
+	if hi-lo >= 1<<flatHeightBits {
+		return nil, false
+	}
+	var keys, ties [flatMaxD]uint64
+	for i, b := range samples {
+		t := tieKey(nonce, b, ldv[i]+1)
+		ties[i] = t
+		keys[i] = uint64(ldv[i]-lo)<<(64-flatHeightBits) | t>>flatHeightBits
+	}
+	var rank [flatMaxD]uint8
+	if !rankKeys(&keys, len(samples), &rank) {
+		return nil, false
+	}
+	out := sc.slots[:len(samples)]
+	for i, b := range samples {
+		out[rank[i]] = slot{bin: b, height: ldv[i] + 1, tie: ties[i]}
+	}
+	return out[:toPlace], true
+}
+
+// rankKeys sets rank[i] to the number of keys[:d] below keys[i] and
+// reports whether those keys are pairwise distinct: exactly then the ranks
+// are a permutation of 0..d-1, which the mask of seen ranks checks. Each
+// count sums the borrows of keys[j]-keys[i], so no compare branches; four
+// keys are counted per pass over keys[:d] into independent sums. Entries of
+// keys from d on are padding: ranked along, never counted or reported.
+//
+//kd:hotpath
+func rankKeys(keys *[flatMaxD]uint64, d int, rank *[flatMaxD]uint8) bool {
+	live := keys[:d]
+	for i := 0; i < d; i += 4 {
+		k0, k1, k2, k3 := keys[i], keys[i+1], keys[i+2], keys[i+3]
+		var r0, r1, r2, r3 uint64
+		for _, kj := range live {
+			_, b := bits.Sub64(kj, k0, 0)
+			r0, _ = bits.Add64(r0, 0, b)
+			_, b = bits.Sub64(kj, k1, 0)
+			r1, _ = bits.Add64(r1, 0, b)
+			_, b = bits.Sub64(kj, k2, 0)
+			r2, _ = bits.Add64(r2, 0, b)
+			_, b = bits.Sub64(kj, k3, 0)
+			r3, _ = bits.Add64(r3, 0, b)
+		}
+		rank[i], rank[i+1], rank[i+2], rank[i+3] = uint8(r0), uint8(r1), uint8(r2), uint8(r3)
+	}
+	var seen uint64
+	for _, r := range rank[:d] {
+		seen |= 1 << (r & 63)
+	}
+	return seen == 1<<d-1
+}
+
 // rankFromSlots is the ranking tail of the counting kernel: sc.slots holds
 // the round's materialized slots with heights spanning [minH, maxH]; the
-// toPlace minimum slots are returned ranked ascending. In the steady-state
-// common case every slot sits at one height (minH == maxH) and the
-// boundary is known without touching the histogram at all.
+// toPlace minimum slots are returned ranked ascending. When every slot
+// sits at one height (minH == maxH) the boundary is known without the
+// histogram. That is the light-load case (most sampled bins empty); under
+// heavy load the height spread is 1–3 in most rounds (see the file
+// comment), and the histogram locates the boundary.
 //
 //kd:hotpath
 func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot {
@@ -312,9 +431,9 @@ func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot 
 
 	// Gather: everything below the boundary is selected outright; the
 	// boundary cohort is genuinely tied, so only now are tie keys derived.
-	// Small cohorts feed a streaming top-need selection directly (one
-	// comparison per candidate against the running worst in the common
-	// all-tied steady state); large cohorts are gathered and quickselected.
+	// Small cohorts (need <= 4) feed a streaming top-need selection
+	// directly, one comparison per candidate against the running worst;
+	// larger ones are gathered and quickselected.
 	// bkey hoists the height term of the boundary cohort's tie keys: every
 	// cohort member shares the boundary height, so its key reduces to one
 	// multiply and the mixer. Identical arithmetic to tieKey.
@@ -390,31 +509,12 @@ func worstSlot(s []slot) int {
 }
 
 // selectSmallestSlots partially sorts s so that s[:k] holds its k smallest
-// elements under the slot total order. Small k uses a single streaming pass
-// that keeps the running top-k in the prefix — the common boundary cohort
-// in steady state is "every slot tied at one height" (the process keeps
-// loads flat), where one comparison per candidate against the running worst
-// beats k min-scan passes — larger k uses expected-O(len) quickselect. Both
-// compute the same smallest-k SET, and the caller sorts the final
-// selection, so the choice cannot affect results.
+// elements under the slot total order: expected-O(len) quickselect, then
+// insertion sort on the short residual segment. The caller sorts the final
+// selection, so only the SET matters.
 //
 //kd:hotpath
 func selectSmallestSlots(s []slot, k int) {
-	if k <= 0 {
-		return
-	}
-	if k < len(s) && k <= 4 {
-		// worst is the index of the largest element of the running top-k
-		// prefix; most candidates lose one comparison against it and move on.
-		worst := worstSlot(s[:k])
-		for j := k; j < len(s); j++ {
-			if slotLess(s[j], s[worst]) {
-				s[worst], s[j] = s[j], s[worst]
-				worst = worstSlot(s[:k])
-			}
-		}
-		return
-	}
 	for k > 0 && k < len(s) && len(s) > 12 {
 		p := partitionSlots(s)
 		switch {

@@ -474,6 +474,8 @@ func TestShardedAllocationFree(t *testing.T) {
 		{"kd/shards=4/compact", KDChoice, Params{N: 4096, K: 2, D: 64, Shards: 4, Store: loadvec.StoreCompact}},
 		{"kd/shards=4/block=8", KDChoice, Params{N: 4096, K: 2, D: 64, Shards: 4, Block: 8}},
 		{"kd-serialized/shards=4", SerializedKD, Params{N: 4096, K: 3, D: 8, Shards: 4}},
+		{"kd/shards=2/k=8,d=16", KDChoice, Params{N: 4096, K: 8, D: 16, Shards: 2}},
+		{"kd-serialized/shards=4/k=8,d=16", SerializedKD, Params{N: 4096, K: 8, D: 16, Shards: 4, Sigma: reversed(8)}},
 		{"dchoice/shards=4", DChoice, Params{N: 4096, D: 3, Shards: 4}},
 		{"dchoice-coarse/shards=4", CoarseDChoice, Params{N: 4096, D: 4, Shards: 4}},
 		{"single/shards=4", SingleChoice, Params{N: 4096, Shards: 4}},
@@ -490,6 +492,7 @@ func TestShardedAllocationFree(t *testing.T) {
 		// prefetching chunk kernel.
 		{"kd/shards=2/compact/huge", KDChoice, Params{N: 1 << 22, K: 2, D: 64, Shards: 2, Store: loadvec.StoreCompact}},
 		{"kd/shards=2/nibble/huge", KDChoice, Params{N: 1 << 23, K: 2, D: 64, Shards: 2, Store: loadvec.StoreNibble}},
+		{"kd/shards=2/k=8,d=16/compact/huge", KDChoice, Params{N: 1 << 22, K: 8, D: 16, Shards: 2, Store: loadvec.StoreCompact}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -510,10 +510,15 @@ func TestRoundAllocationFreeKernels(t *testing.T) {
 		{"nibble/block=3", Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreNibble, Block: 3}},
 		{"sketch/auto", Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreSketch}},
 		{"large-k/auto", Params{N: 4096, K: 16, D: 48}},
+		// The heavy-load shape the flat ranker takes (d = 2k <= flatMaxD).
+		{"k=8,d=16/dense", Params{N: 4096, K: 8, D: 16}},
+		{"k=8,d=16/hist/block=1", Params{N: 4096, K: 8, D: 16, Store: loadvec.StoreHist, Block: 1}},
+		{"k=8,d=16/nibble", Params{N: 4096, K: 8, D: 16, Store: loadvec.StoreNibble}},
 		// Bin arrays past loadvec's huge-page threshold (4 MB): the
 		// advised stores and the next-round prefetch stay allocation-free.
 		{"compact/huge", Params{N: 1 << 22, K: 2, D: 64, Store: loadvec.StoreCompact}},
 		{"nibble/huge", Params{N: 1 << 23, K: 2, D: 64, Store: loadvec.StoreNibble}},
+		{"k=8,d=16/compact/huge", Params{N: 1 << 22, K: 8, D: 16, Store: loadvec.StoreCompact}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

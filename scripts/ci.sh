@@ -129,13 +129,15 @@ go run ./cmd/kdsim -n 4096 -m 20000 -d 2 -beta 1 -runs 2 \
     -churn diurnal:0.0005,0.5 -weights zipf:1.5,64 -store hist
 
 echo "==> perf ratchet: tracked cells vs committed BENCH_kd.json (warns, never fails)"
-# Re-times the serial, 4-shard and pipelined acceptance cells at full size
-# against the committed trajectory. A >15% regression prints a PERF
-# WARNING but does not fail the pipeline (benchmark boxes are noisy);
-# treat warnings as a prompt to run `scripts/ci.sh bench` and investigate
-# before refreshing the JSONs. The sharded cell is the parallel-engine
-# ratchet: it regresses when the superstep machinery itself slows down,
-# independent of how many cores the box offers.
+# Re-times the serial, 4-shard and pipelined acceptance cells (k=2, d=64)
+# and the k=8, d=16 and k=128, d=192 cells (the selector's flat ranker and
+# counting path) at full size against the committed trajectory. A >15%
+# regression prints a PERF WARNING but does not fail the pipeline
+# (benchmark boxes are noisy); treat warnings as a prompt to run
+# `scripts/ci.sh bench` and investigate before refreshing the JSONs. The
+# sharded cell is the parallel-engine ratchet: it regresses when the
+# superstep machinery itself slows down, independent of how many cores the
+# box offers.
 go run ./cmd/bench -compare BENCH_kd.json || echo "perf ratchet skipped (bench error)"
 
 echo "==> perf ratchet: tracked serving cell vs committed BENCH_serve.json (warns, never fails)"
