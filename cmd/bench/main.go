@@ -11,13 +11,6 @@
 // superstep engine, reporting the fast-vs-sort and shards-vs-serial
 // speedups.
 //
-// The parallel grid (-parallel) is the sharded-engine worker-count series:
-// the kd acceptance cell and the large-k StaleBatch cell at
-// Shards = 1, 2, 4, 8, each point reporting its speedup against the
-// serial baseline, plus the GOMAXPROCS the box offered (on a single-CPU
-// host the series measures engine overhead, not scaling — the honest
-// reading there is parity or below).
-//
 // The scale grid (-scale) runs the heavy-load cells the compact stores
 // exist for: n = 1e6 and 1e7 with k=2/d=64 and an m = 100n heavy-load
 // cell, one column per bin store, measuring sustained balls/sec and the
@@ -52,7 +45,6 @@
 //	bench -serve [-out BENCH_serve.json] [-quick]   # serving grid
 //	bench -faults [-out BENCH_faults.json] [-quick] # faulty serving grid
 //	bench -approx [-out BENCH_approx.json] [-quick] # approximate-store grid
-//	bench -parallel [-out BENCH_parallel.json]      # shard-count series
 //	bench -compare BENCH_kd.json                    # perf ratchet (CI)
 //	bench -compareserve BENCH_serve.json            # serving ratchet (CI)
 //	bench -compareapprox BENCH_approx.json          # approx ratchet (CI)
@@ -105,7 +97,6 @@ type result struct {
 	K               int     `json:"k,omitempty"`
 	D               int     `json:"d,omitempty"`
 	ReferenceSelect bool    `json:"reference_select,omitempty"`
-	Pipeline        bool    `json:"pipeline,omitempty"`
 	Block           int     `json:"block,omitempty"`
 	Shards          int     `json:"shards,omitempty"`
 	NsPerRound      float64 `json:"ns_per_round"`
@@ -128,10 +119,7 @@ type report struct {
 	// (4-shard superstep engine) on the same cell — the headline number of
 	// the sharded engine. On a single-CPU host the shard workers multiplex
 	// one core, so parity or a mild slowdown is the expected reading
-	// there; the engine only pulls ahead with spare cores (see
-	// BENCH_parallel.json for the full worker-count series). It replaces
-	// the retired speedup_pipe_vs_serial field, which had saturated at
-	// parity (~1.0x) on this box.
+	// there; the engine only pulls ahead with spare cores.
 	SpeedupShardsVsSerial float64 `json:"speedup_shards_vs_serial_n1e5_k2_d64,omitempty"`
 }
 
@@ -153,9 +141,6 @@ func cellName(cfg kdchoice.Config) string {
 		kernel := "fast"
 		if cfg.ReferenceSelect {
 			kernel = "sort"
-		}
-		if cfg.Pipeline {
-			kernel += "+pipe"
 		}
 		name = fmt.Sprintf("kd/%s/n=%d", kernel, cfg.Bins)
 	}
@@ -193,8 +178,6 @@ func grid(quick bool) []cell {
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice},
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, ReferenceSelect: true},
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Shards: 4},
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Pipeline: true},
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Pipeline: true, Store: kdchoice.StoreCompact},
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreHist},
 		// Superstep ablation: Block=1 pays every per-round fixed cost the
 		// auto-sized superstep amortizes away (results are bit-identical).
@@ -252,7 +235,6 @@ func runCell(c cell) (result, error) {
 		K:               c.Cfg.K,
 		D:               c.Cfg.D,
 		ReferenceSelect: c.Cfg.ReferenceSelect,
-		Pipeline:        c.Cfg.Pipeline,
 		Block:           c.Cfg.Block,
 		Shards:          c.Cfg.Shards,
 		NsPerRound:      ns,
@@ -280,7 +262,6 @@ type scaleResult struct {
 	Name        string  `json:"name"`
 	Policy      string  `json:"policy"`
 	Store       string  `json:"store"`
-	Pipeline    bool    `json:"pipeline,omitempty"`
 	Block       int     `json:"block,omitempty"`
 	N           int     `json:"n"`
 	K           int     `json:"k"`
@@ -320,7 +301,7 @@ func scaleGrid(quick bool) []scaleCell {
 	}
 	for _, n := range []int{n1, n2} {
 		for _, store := range stores {
-			cfg := kdchoice.Config{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true}
+			cfg := kdchoice.Config{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store}
 			cells = append(cells, scaleCell{
 				Name:  fmt.Sprintf("kd/n=%d,k=2,d=64,store=%v", n, store),
 				Cfg:   cfg,
@@ -332,7 +313,7 @@ func scaleGrid(quick bool) []scaleCell {
 	// Heavy load: m = 100n exercises the Theorem 2 regime (gap growth with
 	// m/n) at a cheaper per-ball shape (k=8, d=16).
 	for _, store := range stores {
-		cfg := kdchoice.Config{Bins: heavyN, K: 8, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true}
+		cfg := kdchoice.Config{Bins: heavyN, K: 8, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: store}
 		cells = append(cells, scaleCell{
 			Name:  fmt.Sprintf("kd-heavy/n=%d,k=8,d=16,m=100n,store=%v", heavyN, store),
 			Cfg:   cfg,
@@ -380,7 +361,6 @@ func runScaleCell(c scaleCell) (scaleResult, error) {
 		Name:        c.Name,
 		Policy:      alloc.Config().Policy.String(),
 		Store:       c.Cfg.Store.String(),
-		Pipeline:    c.Cfg.Pipeline,
 		Block:       c.Cfg.Block,
 		N:           c.Cfg.Bins,
 		K:           c.Cfg.K,
@@ -493,14 +473,14 @@ func approxGrid(quick bool) []scaleCell {
 	for _, store := range []kdchoice.Store{kdchoice.StoreCompact, kdchoice.StoreNibble, kdchoice.StoreSketch} {
 		cells = append(cells, scaleCell{
 			Name:  fmt.Sprintf("kd-approx/n=%d,k=2,d=64,store=%v", n1, store),
-			Cfg:   kdchoice.Config{Bins: n1, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true},
+			Cfg:   kdchoice.Config{Bins: n1, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store},
 			Balls: balls1,
 		})
 	}
 	for _, store := range []kdchoice.Store{kdchoice.StoreCompact, kdchoice.StoreNibble} {
 		cells = append(cells, scaleCell{
 			Name:  fmt.Sprintf("kd-approx/n=%d,k=2,d=64,store=%v", n2, store),
-			Cfg:   kdchoice.Config{Bins: n2, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true},
+			Cfg:   kdchoice.Config{Bins: n2, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store},
 			Balls: balls2,
 		})
 	}
@@ -570,7 +550,7 @@ func runCompareApprox(path string, out io.Writer) error {
 	// redirect the ratchet.
 	c := scaleCell{
 		Name:  fmt.Sprintf("kd-approx/n=%d,k=2,d=64,store=%v", 100_000_000, kdchoice.StoreNibble),
-		Cfg:   kdchoice.Config{Bins: 100_000_000, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreNibble, Pipeline: true},
+		Cfg:   kdchoice.Config{Bins: 100_000_000, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreNibble},
 		Balls: 20_000_000,
 	}
 	var prev *approxResult
@@ -953,7 +933,7 @@ func runCompareFaults(path string, out io.Writer) error {
 }
 
 // compareCells returns the cells the -compare ratchet re-times — the
-// serial, 4-shard and pipelined acceptance cells (n=1e5, k=2, d=64), whose
+// serial and 4-shard acceptance cells (n=1e5, k=2, d=64), whose
 // k=2 rounds take the selector's small-k path, plus the k=8, d=16 and
 // k=128, d=192 cells, whose rounds take the flat ranker and the counting
 // path — constructed directly rather than plucked from grid() by index, so
@@ -966,8 +946,6 @@ func compareCells() []cell {
 	serial := kdchoice.Config{Bins: 100000, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice}
 	sharded := serial
 	sharded.Shards = 4
-	pipe := serial
-	pipe.Pipeline = true
 	flat := serial
 	flat.K, flat.D = 8, 16
 	counting := serial
@@ -975,7 +953,6 @@ func compareCells() []cell {
 	return []cell{
 		{Name: cellName(serial), Cfg: serial},
 		{Name: cellName(sharded), Cfg: sharded},
-		{Name: cellName(pipe), Cfg: pipe},
 		{Name: cellName(flat), Cfg: flat},
 		{Name: cellName(counting), Cfg: counting},
 	}
@@ -1033,98 +1010,6 @@ func runCompare(path string, out io.Writer) error {
 	return nil
 }
 
-// parallelResult is one worker-count series point: a micro-grid result
-// plus its speedup against the series' serial (Shards=1) baseline.
-type parallelResult struct {
-	result
-	// SpeedupVsSerial is ns/round(Shards=1) / ns/round(this cell), from
-	// the same run of the series. 0 on the baseline row itself.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-// parallelReport is the BENCH_parallel.json schema. GOMAXPROCS records how
-// many cores the box actually offered: on a single-CPU host every
-// worker-count point multiplexes one core, so speedups near or below 1.0x
-// are the honest expected reading there, and the series measures the
-// engine's overhead rather than its scaling.
-type parallelReport struct {
-	GoVersion  string           `json:"go_version"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Cells      []parallelResult `json:"cells"`
-}
-
-// parallelGrid returns the worker-count series: the kd acceptance cell
-// (staleness-trading superstep) and the large-k StaleBatch cell (exact
-// sharding) at Shards = 1, 2, 4, 8 each. The Shards=1 row of each series
-// is the serial baseline its speedups are computed against.
-func parallelGrid(quick bool) [][]cell {
-	n := 100000
-	if quick {
-		n = 2048
-	}
-	bases := []kdchoice.Config{
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice},
-		{Bins: n, K: 256, D: 2, Seed: 1, Policy: kdchoice.StaleBatch},
-	}
-	series := make([][]cell, len(bases))
-	for i, base := range bases {
-		for _, p := range []int{1, 2, 4, 8} {
-			cfg := base
-			cfg.Shards = p
-			series[i] = append(series[i], cell{Name: cellName(cfg), Cfg: cfg})
-		}
-	}
-	return series
-}
-
-// runParallel executes the worker-count series and writes
-// BENCH_parallel.json.
-func runParallel(quick bool, outPath string, out io.Writer) error {
-	rep := parallelReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	fmt.Fprintf(out, "gomaxprocs=%d\n", rep.GOMAXPROCS)
-	for _, series := range parallelGrid(quick) {
-		var baseline float64
-		for _, c := range series {
-			res, err := runCell(c)
-			if err != nil {
-				return err
-			}
-			pr := parallelResult{result: res}
-			if c.Cfg.Shards == 1 {
-				baseline = res.NsPerRound
-			} else if baseline > 0 && res.NsPerRound > 0 {
-				pr.SpeedupVsSerial = baseline / res.NsPerRound
-			}
-			rep.Cells = append(rep.Cells, pr)
-			speedup := "baseline"
-			if pr.SpeedupVsSerial > 0 {
-				speedup = fmt.Sprintf("%.2fx", pr.SpeedupVsSerial)
-			}
-			fmt.Fprintf(out, "%-44s %12.0f ns/round %3d allocs  %s\n",
-				res.Name, res.NsPerRound, res.AllocsPerRound, speedup)
-		}
-	}
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s\n", outPath)
-	return nil
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	outPath := fs.String("out", "", "output JSON path (default BENCH_kd.json, BENCH_scale.json with -scale, BENCH_serve.json with -serve, or BENCH_approx.json with -approx; empty: stdout only)")
@@ -1132,7 +1017,6 @@ func run(args []string, out io.Writer) error {
 	scale := fs.Bool("scale", false, "run the large-n scale grid instead of the micro grid")
 	serve := fs.Bool("serve", false, "run the online-serving grid (mixed insert/delete streams) instead of the micro grid")
 	approx := fs.Bool("approx", false, "run the approximate-store grid (compact vs nibble vs sketch) instead of the micro grid")
-	parallel := fs.Bool("parallel", false, "run the sharded-engine worker-count series (Shards = 1, 2, 4, 8) instead of the micro grid")
 	faultsFlag := fs.Bool("faults", false, "run the faulty serving grid (deterministic fault plans on the serving mix) instead of the micro grid")
 	block := fs.Int("block", 0, "superstep size in rounds applied to every cell (0 = auto, bit-identical for any value)")
 	shardsFlag := fs.Int("shards", 0, "shard count applied to every micro-grid cell (ablation; bit-identical for any count >= 2; requires -out '')")
@@ -1190,8 +1074,8 @@ func run(args []string, out io.Writer) error {
 		// The ratchets always re-time the full-size acceptance cells
 		// against the named file; silently dropping grid flags would make
 		// `-quick -compare` look like a smoke check it is not.
-		if *quick || *scale || *serve || *approx || *parallel || *faultsFlag || *block != 0 || *shardsFlag != 0 || *storeFlag != "" || outSet {
-			return fmt.Errorf("the -compare* ratchets cannot be combined with -quick, -scale, -serve, -approx, -parallel, -faults, -block, -shards, -store or -out (they always re-time the full-size acceptance cells)")
+		if *quick || *scale || *serve || *approx || *faultsFlag || *block != 0 || *shardsFlag != 0 || *storeFlag != "" || outSet {
+			return fmt.Errorf("the -compare* ratchets cannot be combined with -quick, -scale, -serve, -approx, -faults, -block, -shards, -store or -out (they always re-time the full-size acceptance cells)")
 		}
 		if ratchets > 1 {
 			return fmt.Errorf("-compare, -compareserve, -compareapprox and -comparefaults are separate ratchets; run them one at a time")
@@ -1208,13 +1092,13 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	grids := 0
-	for _, g := range []bool{*scale, *serve, *approx, *parallel, *faultsFlag} {
+	for _, g := range []bool{*scale, *serve, *approx, *faultsFlag} {
 		if g {
 			grids++
 		}
 	}
 	if grids > 1 {
-		return fmt.Errorf("-scale, -serve, -approx, -parallel and -faults select different grids; run them one at a time")
+		return fmt.Errorf("-scale, -serve, -approx and -faults select different grids; run them one at a time")
 	}
 	if !outSet {
 		switch {
@@ -1224,19 +1108,11 @@ func run(args []string, out io.Writer) error {
 			path = "BENCH_serve.json"
 		case *approx:
 			path = "BENCH_approx.json"
-		case *parallel:
-			path = "BENCH_parallel.json"
 		case *faultsFlag:
 			path = "BENCH_faults.json"
 		default:
 			path = "BENCH_kd.json"
 		}
-	}
-	if *parallel {
-		if *block != 0 || *shardsFlag != 0 || *storeFlag != "" {
-			return fmt.Errorf("-block/-shards/-store do not apply to the parallel grid (it is itself a shard-count series)")
-		}
-		return runParallel(*quick, path, out)
 	}
 	if (*block != 0 || *shardsFlag != 0 || *storeFlag != "") && path != "" {
 		// An overridden run is an ablation, not the tracked trajectory:
@@ -1266,7 +1142,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *scale {
 		if *shardsFlag != 0 {
-			return fmt.Errorf("-shards applies to the micro grid; the scale grid is pipelined round-mode")
+			return fmt.Errorf("-shards applies to the micro grid; the scale grid runs serial round-mode")
 		}
 		return runScale(*quick, *block, *storeFlag, path, out)
 	}

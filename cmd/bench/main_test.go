@@ -30,7 +30,7 @@ func TestGridShape(t *testing.T) {
 		// Cell 2 must be the 4-shard variant of cell 0 (the shards-vs-serial
 		// speedup pair).
 		s := cells[2].Cfg
-		if s.Shards != 4 || s.ReferenceSelect || s.Pipeline || s.Bins != a.Bins || s.K != a.K || s.D != a.D {
+		if s.Shards != 4 || s.ReferenceSelect || s.Bins != a.Bins || s.K != a.K || s.D != a.D {
 			t.Fatalf("quick=%v: cell 2 is not the 4-shard twin of cell 0: %+v", quick, s)
 		}
 		for _, c := range cells {
@@ -143,7 +143,7 @@ func TestScaleGridShape(t *testing.T) {
 func TestRunScaleCellTiny(t *testing.T) {
 	res, err := runScaleCell(scaleCell{
 		Name:  "tiny",
-		Cfg:   kdchoice.Config{Bins: 4096, K: 2, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreCompact, Pipeline: true},
+		Cfg:   kdchoice.Config{Bins: 4096, K: 2, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreCompact},
 		Warm:  4096,
 		Balls: 8192,
 	})
@@ -306,72 +306,11 @@ func TestFlagCombinations(t *testing.T) {
 	// mutually exclusive.
 	for _, args := range [][]string{
 		{"-quick", "-shards", "2"},
-		{"-parallel", "-compare", "x.json"},
-		{"-parallel", "-scale"},
-		{"-parallel", "-shards", "2"},
+		{"-scale", "-serve"},
 		{"-serve", "-shards", "2"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Fatalf("%v accepted", args)
-		}
-	}
-}
-
-func TestParallelGridShape(t *testing.T) {
-	series := parallelGrid(true)
-	if len(series) != 2 {
-		t.Fatalf("parallel grid has %d series, want 2", len(series))
-	}
-	for _, cells := range series {
-		if len(cells) != 4 {
-			t.Fatalf("series has %d points, want 4 (shards 1,2,4,8)", len(cells))
-		}
-		if cells[0].Cfg.Shards != 1 {
-			t.Fatalf("series does not start at the serial baseline: %+v", cells[0].Cfg)
-		}
-		for i, c := range cells {
-			want := 1 << i
-			if c.Cfg.Shards != want {
-				t.Fatalf("point %d has Shards=%d, want %d", i, c.Cfg.Shards, want)
-			}
-			a, err := kdchoice.New(c.Cfg)
-			if err != nil {
-				t.Fatalf("cell %s invalid: %v", c.Name, err)
-			}
-			a.Close()
-		}
-	}
-}
-
-func TestRunParallelQuickWritesReport(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "parallel.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-parallel", "-quick", "-out", outPath}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep parallelReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.GOMAXPROCS < 1 {
-		t.Fatalf("GOMAXPROCS = %d not recorded", rep.GOMAXPROCS)
-	}
-	if len(rep.Cells) != 8 {
-		t.Fatalf("report has %d cells, want 8", len(rep.Cells))
-	}
-	for _, c := range rep.Cells {
-		if c.AllocsPerRound != 0 {
-			t.Fatalf("cell %s allocates %d/round; the sharded hot path is tracked at 0", c.Name, c.AllocsPerRound)
-		}
-		if c.Shards == 1 && c.SpeedupVsSerial != 0 {
-			t.Fatalf("baseline cell %s carries a speedup", c.Name)
-		}
-		if c.Shards > 1 && c.SpeedupVsSerial <= 0 {
-			t.Fatalf("cell %s missing its speedup vs serial", c.Name)
 		}
 	}
 }

@@ -456,7 +456,7 @@ func sectionHeavy(out io.Writer, sc scale, seed uint64) error {
 
 func sectionHeavyScale(out io.Writer, sc scale, seed uint64) error {
 	mult := sc.heavyMult
-	fmt.Fprintf(out, "## E3b — heavy-load scale study (m = %d·n on the compact store, pipelined engine)\n\n", mult)
+	fmt.Fprintf(out, "## E3b — heavy-load scale study (m = %d·n on the compact store)\n\n", mult)
 	fmt.Fprintln(out, "**Paper**: the Theorem 2 gap bound is independent of m and grows only as ln ln n — phenomena that only show at scales the compact stores unlock (2 bytes/bin; 10⁸ bins ≈ 200 MB vs 800 MB dense; see README \"Scaling limits & memory\").")
 	fmt.Fprintln(out)
 	points, err := experiments.HeavyScale(experiments.HeavyScaleOpts{

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	kdsim [-n 65536] [-k 2] [-d 3] [-m 0] [-runs 10] [-policy kd] [-beta 0.5]
-//	      [-store dense] [-pipeline] [-block 0] [-shards 0] [-seed 1]
+//	      [-store dense] [-block 0] [-shards 0] [-seed 1]
 //	      [-profile 10]
 //
 // -m 0 places n balls (the paper's canonical experiment); -m > n exercises
@@ -13,9 +13,8 @@
 // values (sorted, with one-line memory/accuracy notes) in the flag help and
 // in unknown-value errors. -store compact runs 10⁷–10⁸ bin experiments in
 // ~2 bytes/bin, -store nibble in ~0.5, and -store sketch drops below 0.5 by
-// trading exactness for one-sided overestimates; -pipeline pre-draws
-// sample supersteps on a producer goroutine and -block overrides the
-// superstep size (bit-identical results for any setting of either).
+// trading exactness for one-sided overestimates; -block overrides the
+// superstep size (bit-identical results for any setting).
 // -shards >= 2 engages the sharded superstep engine: decisions for each
 // block of rounds run in parallel across that many workers, bit-identical
 // for ANY worker count (StaleBatch and single-choice exactly match serial;
@@ -63,7 +62,6 @@ func run(args []string, out io.Writer) error {
 	policyName := fs.String("policy", "kd", "allocation policy, one of:\n"+strings.Join(kdchoice.PolicyHelp(), "\n"))
 	beta := fs.Float64("beta", 0.5, "beta for oneplusbeta")
 	storeName := fs.String("store", "dense", "bin-load store, one of:\n"+strings.Join(kdchoice.StoreHelp(), "\n"))
-	pipeline := fs.Bool("pipeline", false, "pre-draw sample supersteps on a producer goroutine (bit-identical)")
 	block := fs.Int("block", 0, "superstep size in rounds for the round policies (0 = auto, bit-identical for any value)")
 	shards := fs.Int("shards", 0, "parallel decision workers (0 = auto; >=2 shards the fixed-prologue policies, bit-identical for any worker count; staleness horizon = -block for the round policies)")
 	seed := fs.Uint64("seed", 1, "root seed")
@@ -98,17 +96,16 @@ func run(args []string, out io.Writer) error {
 	}
 	rep, err := kdchoice.Experiment{
 		Cells: []kdchoice.Cell{{Config: kdchoice.Config{
-			Bins:     *n,
-			K:        *k,
-			D:        *d,
-			Policy:   policy,
-			Beta:     *beta,
-			Store:    store,
-			Pipeline: *pipeline,
-			Block:    *block,
-			Shards:   *shards,
-			Faults:   faultPlan,
-			Seed:     *seed,
+			Bins:   *n,
+			K:      *k,
+			D:      *d,
+			Policy: policy,
+			Beta:   *beta,
+			Store:  store,
+			Block:  *block,
+			Shards: *shards,
+			Faults: faultPlan,
+			Seed:   *seed,
 		}}},
 		Balls:        *m,
 		Runs:         *runs,

@@ -29,7 +29,7 @@
 //
 // All processes run over n bins, support m ≥ n balls (the heavily loaded
 // case of Theorem 2), count message cost (number of bin probes, the paper's
-// cost measure), and draw all randomness from an explicit xrand.Source so
+// cost measure), and draw all randomness from an explicit *xrand.Rand so
 // every run is reproducible.
 //
 // The bin-load state lives behind the loadvec.Store abstraction
@@ -41,14 +41,12 @@
 // kernel.go (one dynamic dispatch per round instead of one per bin
 // access); fixed-prologue round policies batch their randomness into
 // supersteps of Params.Block rounds (kernel and engine both bit-identical
-// to the interface/per-round reference paths). Params.Pipeline moves
-// random generation onto a producer goroutine (bit-identical by
-// construction), and Params.Shards engages the sharded superstep engine
-// (shard.go): each superstep's randomness is pre-drawn serially, a
-// persistent worker pool splits the block's rounds into contiguous chunks,
-// each worker gathering its chunk's loads from the unchanging store and
-// deciding those rounds against that frozen snapshot, and placements apply
-// serially in round order. Sharded results are bit-identical for ANY worker
+// to the interface/per-round reference paths). Params.Shards engages the
+// sharded superstep engine (shard.go): each superstep's randomness is
+// pre-drawn serially, a persistent worker pool splits the block's rounds
+// into contiguous chunks, each worker gathering its chunk's loads from the
+// unchanging store and deciding those rounds against that frozen snapshot,
+// and placements apply serially in round order. Sharded results are bit-identical for ANY worker
 // count (snapshot cells are positional, not scheduling-dependent); relative
 // to the serial process they are
 // bit-identical wherever the policy's semantics allow (StaleBatch and
@@ -228,20 +226,13 @@ type Params struct {
 	// compares floor(load/Quantum). 0 defaults to 4; 1 reproduces DChoice
 	// bit for bit. Ignored by the other policies.
 	Quantum int
-	// Pipeline moves random generation onto a producer goroutine while the
-	// round loop consumes it: whole pre-drawn supersteps for the
-	// fixed-prologue policies, raw word blocks (xrand.Pipelined) for the
-	// rest. Bit-identical to the serial path by construction. A pipelined
-	// process owns a background goroutine: call Process.Close when done
-	// with it.
-	Pipeline bool
 	// Block is the superstep size of the fixed-prologue round policies
-	// (KDChoice, fixed-σ SerializedKD, DChoice, DynamicKD): rounds are
-	// pre-drawn in blocks of Block rounds — one bulk random fill and one
-	// group-table epoch per round instead of per-round setup — which is
-	// bit-identical to per-round drawing for any value. 0 auto-sizes the
-	// superstep (~4096 samples); explicit values must be >= 1. Policies
-	// without a fixed prologue ignore Block.
+	// (KDChoice, fixed-σ SerializedKD, DChoice, CoarseDChoice, DynamicKD):
+	// rounds are pre-drawn in blocks of Block rounds — one bulk random
+	// fill and one group-table epoch per round instead of per-round setup
+	// — which is bit-identical to per-round drawing for any value. 0
+	// auto-sizes the superstep (~4096 samples); explicit values must be
+	// >= 1. Policies without a fixed prologue ignore Block.
 	Block int
 	// Shards engages the sharded superstep engine with this many workers:
 	// each superstep's randomness is pre-drawn serially, then in one
@@ -282,10 +273,9 @@ type Params struct {
 	// evict-recover). Nil or empty means no faults — bit-identical to a
 	// process built without the field, at zero extra cost. A non-empty
 	// plan forces serial decisions: results are then bit-identical for
-	// ANY Shards/Pipeline/Block setting. Supported by the (k,d) round
-	// family (kd, fixed-σ kd-serialized) and the per-ball serving family
-	// (single, dchoice, dchoice-coarse, oneplusbeta, threshold), scalar
-	// mode only.
+	// ANY Shards/Block setting. Supported by the (k,d) round family (kd,
+	// fixed-σ kd-serialized) and the per-ball serving family (single,
+	// dchoice, dchoice-coarse, oneplusbeta, threshold), scalar mode only.
 	Faults *faults.Plan
 }
 
@@ -310,9 +300,8 @@ type Observer interface {
 type Process struct {
 	policy Policy
 	p      Params
-	rng    xrand.Source
-	pipe   *xrand.Pipelined // word-level engine (Params.Pipeline fallback)
-	eng    *roundEngine     // superstep engine (fixed-prologue policies)
+	rng    *xrand.Rand
+	eng    *roundEngine // superstep engine (fixed-prologue policies)
 
 	// kern is the store-specialized kernel the round loops dispatch
 	// through: one dynamic call per round, with every bin access inside
@@ -412,7 +401,7 @@ type slot struct {
 }
 
 // New validates params and returns a ready process with all-empty bins.
-func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
+func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: nil rng")
 	}
@@ -441,15 +430,8 @@ func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
 	}
 	if faultsActive(p) {
 		// The injector's streams are split off the root stream WITHOUT
-		// advancing it, and the split must happen before any engine takes
-		// rng ownership (a pipelined producer draws concurrently from
-		// here on). Splitting requires the concrete xrand.Rand; every
-		// construction path in the repository passes one.
-		base, ok := rng.(*xrand.Rand)
-		if !ok {
-			return nil, fmt.Errorf("core: fault injection requires a splittable *xrand.Rand root stream, got %T", rng)
-		}
-		pr.flt = faults.NewInjector(*p.Faults, p.N, base)
+		// advancing it.
+		pr.flt = faults.NewInjector(*p.Faults, p.N, rng)
 		if p.Faults.Evict {
 			pr.flt.OnFail = pr.evictBin
 		}
@@ -466,32 +448,12 @@ func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
 	if shards > 1 {
 		// Sharded superstep engine: randomness stays serially pre-drawn (a
 		// round engine for the fixed-d policies, pr.rng for the rest) and
-		// the decision phase fans out over a persistent worker pool. Only
-		// an async round engine takes rng ownership away from pr.rng.
+		// the decision phase fans out over a persistent worker pool.
 		pr.shard = newShardEngine(policy, p, rng, shards)
-		if pr.shard.eng != nil && !pr.shard.eng.inline {
-			pr.rng = nil
-		} else if pr.shard.eng == nil && p.Pipeline {
-			// Refills draw through pr.rng: prefetch raw words under it.
-			pr.pipe = xrand.NewPipelined(rng, 0, 0)
-			pr.rng = pr.pipe
-		}
 	} else if blockEligible(policy, p) {
-		// Fixed round prologue: pre-draw whole supersteps of rounds. In
-		// inline mode (the default) the engine shares pr.rng and fills
-		// lazily; under Params.Pipeline on a multi-CPU host a producer
-		// goroutine owns the rng from here on — then nil out pr.rng so any
-		// future code path that tries to draw from it alongside the
-		// producer fails fast (nil dereference) instead of racing the
-		// producer goroutine.
-		pr.eng = newRoundEngine(rng, p.N, p.D, blockRounds(p.D, p.Block), p.Pipeline)
-		if !pr.eng.inline {
-			pr.rng = nil
-		}
-	} else if p.Pipeline {
-		// Data-dependent draw pattern: prefetch raw words instead.
-		pr.pipe = xrand.NewPipelined(rng, 0, 0)
-		pr.rng = pr.pipe
+		// Fixed round prologue: pre-draw whole supersteps of rounds from
+		// the shared pr.rng.
+		pr.eng = newRoundEngine(rng, p.N, p.D, blockRounds(p.D, p.Block))
 	}
 	if d := p.D; d > 0 {
 		pr.samples = make([]int, d)
@@ -597,11 +559,10 @@ func Validate(policy Policy, p Params) error {
 		return fmt.Errorf("core: Block = %d, must be >= 1 (or 0 for the auto-sized superstep)", p.Block)
 	}
 	if p.Block > 0 && blockEligible(policy, p) {
-		// A superstep buffers Block*D samples per block (several blocks in
-		// flight when pipelined); reject sizes that could only end in an
-		// opaque allocation failure. The product is what matters, so the
-		// cap scales down with D. Policies without a fixed prologue never
-		// allocate a superstep, so Block stays ignored there.
+		// A superstep buffers Block*D samples; reject sizes that could
+		// only end in an opaque allocation failure. The product is what
+		// matters, so the cap scales down with D. Policies without a fixed
+		// prologue never allocate a superstep, so Block stays ignored there.
 		d := p.D
 		if d < 1 {
 			d = 1
@@ -734,7 +695,7 @@ func checkPermutation(sigma []int, k int) error {
 
 // MustNew is New but panics on error; intended for tests and examples with
 // constant parameters.
-func MustNew(policy Policy, p Params, rng xrand.Source) *Process {
+func MustNew(policy Policy, p Params, rng *xrand.Rand) *Process {
 	pr, err := New(policy, p, rng)
 	if err != nil {
 		panic(err)
@@ -742,17 +703,11 @@ func MustNew(policy Policy, p Params, rng xrand.Source) *Process {
 	return pr
 }
 
-// Close releases the pipelined random engine's producer goroutine
-// (Params.Pipeline). It is a no-op for serial processes and is idempotent.
-// A closed process must not place further balls; its accessors remain
-// valid.
+// Close stops the sharded engine's worker goroutines (Params.Shards >= 2).
+// It is a no-op for serial processes and is idempotent. A closed process
+// stays fully usable: a sharded process then runs every worker's share of
+// a superstep on the calling goroutine, with unchanged results.
 func (pr *Process) Close() {
-	if pr.pipe != nil {
-		pr.pipe.Close()
-	}
-	if pr.eng != nil {
-		pr.eng.Close()
-	}
 	if pr.shard != nil {
 		pr.shard.Close()
 	}

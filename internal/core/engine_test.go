@@ -16,8 +16,7 @@ func TestPeekNextMatchesNext(t *testing.T) {
 	for _, block := range []int{1, 3, 0} {
 		t.Run(fmt.Sprintf("block=%d", block), func(t *testing.T) {
 			rounds := blockRounds(d, block)
-			e := newRoundEngine(xrand.New(4), n, d, rounds, false)
-			defer e.Close()
+			e := newRoundEngine(xrand.New(4), n, d, rounds)
 			for j := 0; j < 5*rounds+2; j++ {
 				peek := slices.Clone(e.peekNext())
 				got := e.next().samples
@@ -29,22 +28,6 @@ func TestPeekNextMatchesNext(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPeekNextAsyncIsNil: the async (Pipeline) engine never offers a
-// prefetch target.
-func TestPeekNextAsyncIsNil(t *testing.T) {
-	e := newRoundEngine(xrand.New(4), 1000, 5, 3, true)
-	defer e.Close()
-	for j := 0; j < 10; j++ {
-		if e.inline {
-			t.Skip("single-CPU host: the engine runs inline")
-		}
-		if peek := e.peekNext(); peek != nil {
-			t.Fatalf("round %d: async engine peeked %v", j, peek)
-		}
-		e.next()
 	}
 }
 

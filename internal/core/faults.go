@@ -12,8 +12,8 @@ package core
 // fault layer existed and costs 0 allocs/round extra. With a plan
 // attached, all fault randomness comes from streams split off the root
 // seed (never the main stream) and every fault decision is serial:
-// faulty runs are bit-identical for ANY Workers/Shards/Pipeline/Block
-// setting (effectiveShards forces the serial engine under a plan).
+// faulty runs are bit-identical for ANY Workers/Shards/Block setting
+// (effectiveShards forces the serial engine under a plan).
 
 import (
 	"sort"

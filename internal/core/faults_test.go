@@ -14,8 +14,8 @@ import (
 //   - zero cost when inactive: a nil or empty plan is bit-identical to a
 //     process built with no Faults field at all, at 0 extra allocs/round;
 //   - engine independence when active: faulty runs are bit-identical for
-//     ANY Shards/Pipeline/Block setting (fault decisions are serial by
-//     design — effectiveShards forces the serial engine);
+//     ANY Shards/Block setting (fault decisions are serial by design —
+//     effectiveShards forces the serial engine);
 //   - conservation: the EvictRecover path moves balls without creating
 //     or destroying weight, and handles stay valid across evictions;
 //   - graceful degradation: even under total probe loss every ball still
@@ -118,7 +118,6 @@ func TestFaultyBitIdenticalAnyEngine(t *testing.T) {
 			{"shards=8", func(p *Params) { p.Shards = 8 }},
 			{"block=1", func(p *Params) { p.Block = 1 }},
 			{"shards=4,block=7", func(p *Params) { p.Shards = 4; p.Block = 7 }},
-			{"pipeline", func(p *Params) { p.Pipeline = true }},
 		} {
 			p := base
 			engine.mut(&p)
@@ -301,11 +300,5 @@ func TestFaultValidate(t *testing.T) {
 	}
 	if err := Validate(OnePlusBeta, Params{N: 16, Beta: 0.5, Faults: &evict}); err != nil {
 		t.Errorf("oneplusbeta+evict rejected: %v", err)
-	}
-	// A non-splittable source cannot feed the injector's stream splits.
-	src := xrand.NewPipelined(xrand.New(1), 0, 0)
-	defer src.Close()
-	if _, err := New(DChoice, Params{N: 16, D: 2, Faults: &plan}, src); err == nil {
-		t.Error("New accepted a fault plan on a non-splittable source")
 	}
 }

@@ -15,9 +15,8 @@ package core
 //     bin and one threshold — O(1) memory, no ranking, no tie lottery —
 //     and the message cost is the number of probes actually issued, so
 //     lightly loaded phases pay ~1 probe per ball. The draw count is
-//     data-dependent, which excludes the fixed-prologue superstep engine;
-//     Params.Pipeline falls back to raw word prefetch like the other
-//     adaptive policies.
+//     data-dependent, which excludes the fixed-prologue superstep engine:
+//     like the other adaptive policies it draws from the stream per probe.
 //
 //   - CoarseDChoice: d-choice over QUANTIZED loads. The round draws d
 //     samples and a nonce exactly like DChoice, but the argmin compares
@@ -29,7 +28,7 @@ package core
 //     overestimates. With Quantum = 1 the bucket IS the load and the
 //     policy is bit-identical to DChoice (pinned in tests); the prologue
 //     is the fixed FillIntn-then-nonce sequence, so CoarseDChoice rides
-//     the superstep engine and the pipelined producer like DChoice.
+//     the superstep engine like DChoice.
 
 // defaultQuantum is the CoarseDChoice bucket width when Params.Quantum is
 // left zero: coarse enough that a defensible sketch geometry (inflation of

@@ -108,14 +108,15 @@ func effectiveShards(policy Policy, p Params) int {
 // the phase inputs) and one WaitGroup wait (the edge collecting the phase
 // outputs); on a single-CPU host the scheduler simply interleaves the
 // workers at those points, so the pool is correct — not just fast — at any
-// GOMAXPROCS.
+// GOMAXPROCS. A closed pool runs every worker's share on the caller:
+// shares are positional, so results do not change.
 type shardPool struct {
 	workers int
 	run     func(w int)
 	start   []chan struct{} // doorbell per spawned worker (workers-1)
 	wg      sync.WaitGroup
 	done    chan struct{}
-	once    sync.Once
+	closed  bool
 }
 
 func newShardPool(workers int, run func(w int)) *shardPool {
@@ -136,6 +137,7 @@ func (p *shardPool) worker(i int) {
 	for {
 		select {
 		case <-p.done:
+			p.wg.Done()
 			return
 		case <-p.start[i]:
 		}
@@ -146,6 +148,12 @@ func (p *shardPool) worker(i int) {
 
 // dispatch runs one phase on every worker and returns when all finished.
 func (p *shardPool) dispatch() {
+	if p.closed {
+		for w := 0; w < p.workers; w++ {
+			p.run(w)
+		}
+		return
+	}
 	p.wg.Add(p.workers - 1)
 	for _, c := range p.start {
 		c <- struct{}{}
@@ -154,10 +162,16 @@ func (p *shardPool) dispatch() {
 	p.wg.Wait()
 }
 
-// Close stops the spawned workers. Idempotent; must not be called
-// concurrently with dispatch.
+// Close stops the spawned workers and returns once they have exited.
+// Idempotent; must not be called concurrently with dispatch.
 func (p *shardPool) Close() {
-	p.once.Do(func() { close(p.done) })
+	if p.closed {
+		return
+	}
+	p.closed = true
+	p.wg.Add(len(p.start))
+	close(p.done)
+	p.wg.Wait()
 }
 
 // shardEngine holds the sharded superstep state of one Process. The
@@ -179,7 +193,7 @@ type shardEngine struct {
 	eng  *roundEngine // FillRounds block source (nil: single / stale mode)
 	sels []*selector  // per-worker decision lane (kd / serialized only)
 
-	blk    *kdBlock // current block (aliases eng's local block)
+	blk    *kdBlock // current block (aliases eng's block)
 	single []int    // SingleChoice mode: the block's samples (= destinations)
 	ldv    []int    // frozen load snapshot, positional per sample
 	dests  []int    // decided bins: block×k in rank order (kd), else block
@@ -198,7 +212,7 @@ type shardEngine struct {
 
 // newShardEngine builds the engine and its worker pool. The caller has
 // already validated shardEligible and workers >= 2.
-func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *shardEngine {
+func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int) *shardEngine {
 	se := &shardEngine{
 		policy:  policy,
 		n:       p.N,
@@ -223,7 +237,7 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 			se.d = shardDrawWidth(policy)
 		}
 		se.block = shardBlockRounds(se.d, p.Block)
-		se.eng = newRoundEngine(rng, p.N, se.d, se.block, p.Pipeline)
+		se.eng = newRoundEngine(rng, p.N, se.d, se.block)
 		se.ldv = make([]int, se.block*se.d)
 		switch policy {
 		case KDChoice, SerializedKD:
@@ -260,13 +274,9 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 	return se
 }
 
-// Close stops the worker pool (and the block producer, if async).
-// Idempotent.
+// Close stops the worker pool. Idempotent.
 func (se *shardEngine) Close() {
 	se.pool.Close()
-	if se.eng != nil {
-		se.eng.Close()
-	}
 }
 
 // invalidate drops the undecided-yet-unapplied tail of the current block:

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/loadvec"
 	"repro/internal/xrand"
@@ -133,32 +134,54 @@ func TestShardedSingleMatchesSerialAnyBlock(t *testing.T) {
 	}
 }
 
-// TestShardedAsyncPipelineMatchesInline: composing Shards with Pipeline
-// swaps the block source from inline fills to the async producer; the
-// stream (and so the Report) must not change. GOMAXPROCS is forced up so
-// the async engine actually engages on a single-CPU CI host.
-func TestShardedAsyncPipelineMatchesInline(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const seed, m = 90125, 2222
+// TestShardedPlaceAfterClose: Close stops the worker pool but leaves the
+// process usable — later supersteps run every worker's chunk on the
+// caller, bit-identical to a twin that was never closed — and the pool's
+// goroutines are gone once both processes are closed.
+func TestShardedPlaceAfterClose(t *testing.T) {
+	const seed = 31
 	for _, tc := range []struct {
 		name   string
 		policy Policy
 		p      Params
 	}{
-		{"kd", KDChoice, Params{N: 200, K: 2, D: 64, Shards: 4}},
-		{"dchoice", DChoice, Params{N: 200, D: 3, Shards: 4}},
-		{"oneplusbeta", OnePlusBeta, Params{N: 200, Beta: 0.4, Shards: 4}},
-		{"single", SingleChoice, Params{N: 200, Shards: 4}},
+		{"kd", KDChoice, Params{N: 1000, K: 2, D: 4}},
+		{"stale-batch", StaleBatch, Params{N: 1000, K: 8, D: 2}},
+		{"single", SingleChoice, Params{N: 1000}},
 	} {
-		ref := MustNew(tc.policy, tc.p, xrand.New(seed))
-		p := tc.p
-		p.Pipeline = true
-		got := MustNew(tc.policy, p, xrand.New(seed))
-		ref.Place(m)
-		got.Place(m)
-		stateEqual(t, tc.name+"/sharded-async", ref, got)
-		ref.Close()
-		got.Close()
+		for shards := 2; shards <= 4; shards++ {
+			name := fmt.Sprintf("%s/shards=%d", tc.name, shards)
+			p := tc.p
+			p.Shards = shards
+			baseline := runtime.NumGoroutine()
+			ref := MustNew(tc.policy, p, xrand.New(seed))
+			got := MustNew(tc.policy, p, xrand.New(seed))
+			ref.Place(100)
+			got.Place(100)
+			got.Close()
+			got.Close() // idempotent
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				got.Place(200000)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s: Place after Close did not return", name)
+			}
+			ref.Place(200000)
+			stateEqual(t, name, ref, got)
+			ref.Close()
+			// A stopped worker may still be unwinding when Close returns.
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines after Close, baseline %d", name, runtime.NumGoroutine(), baseline)
+				}
+				runtime.Gosched()
+			}
+		}
 	}
 }
 

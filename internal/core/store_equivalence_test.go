@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -88,34 +87,22 @@ func stateEqual(t *testing.T, stage string, ref, got *Process) {
 
 // TestStorePolicyBitIdentity is the cross-store acceptance property: every
 // policy produces bit-identical loads, max load and message counters on the
-// compact and histogram stores — and on the pipelined engine — for equal
-// seeds, including across a mid-run Reset (which must rebuild the stores'
-// max-load/histogram bookkeeping from scratch).
+// compact, histogram and nibble stores for equal seeds, including across a
+// mid-run Reset (which must rebuild the stores' max-load/histogram
+// bookkeeping from scratch).
 func TestStorePolicyBitIdentity(t *testing.T) {
-	variants := []struct {
-		name     string
-		store    loadvec.StoreKind
-		pipeline bool
-	}{
-		{"compact", loadvec.StoreCompact, false},
-		{"hist", loadvec.StoreHist, false},
-		{"nibble", loadvec.StoreNibble, false},
-		{"dense+pipeline", loadvec.StoreDense, true},
-		{"compact+pipeline", loadvec.StoreCompact, true},
-		{"nibble+pipeline", loadvec.StoreNibble, true},
-	}
+	stores := []loadvec.StoreKind{loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble}
 	for _, tc := range allPolicyCases() {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			const seed, m = 12345, 333 // m deliberately not a multiple of any k above
 			ref := MustNew(tc.policy, tc.p, xrand.New(seed))
 			ref.Place(m)
-			for _, v := range variants {
+			for _, store := range stores {
 				p := tc.p
-				p.Store = v.store
-				p.Pipeline = v.pipeline
+				p.Store = store
 				got := MustNew(tc.policy, p, xrand.New(seed))
 				got.Place(m)
-				stateEqual(t, v.name, ref, got)
+				stateEqual(t, store.String(), ref, got)
 
 				// Reset and re-place: the second run continues the random
 				// stream, so it must stay coupled to the reference too.
@@ -125,7 +112,7 @@ func TestStorePolicyBitIdentity(t *testing.T) {
 				refReset.Reset()
 				refReset.Place(m / 2)
 				got.Place(m / 2)
-				stateEqual(t, v.name+"/post-reset", refReset, got)
+				stateEqual(t, store.String()+"/post-reset", refReset, got)
 				got.Close()
 				refReset.Close()
 			}
@@ -183,73 +170,31 @@ func TestStaleBatchShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStaleBatchShardedPipelined combines both parallel engines: sharded
-// decisions fed by the pipelined random stream stay bit-identical to the
-// fully serial path.
-func TestStaleBatchShardedPipelined(t *testing.T) {
+// TestStaleBatchShardedCompactMatchesSerial: sharded decisions over the
+// compact store stay bit-identical to the fully serial dense path.
+func TestStaleBatchShardedCompactMatchesSerial(t *testing.T) {
 	const seed, m = 4242, 515
 	ref := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4}, xrand.New(seed))
-	got := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4, Shards: 4, Pipeline: true, Store: loadvec.StoreCompact}, xrand.New(seed))
+	got := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4, Shards: 4, Store: loadvec.StoreCompact}, xrand.New(seed))
 	defer got.Close()
 	ref.Place(m)
 	got.Place(m)
-	stateEqual(t, "sharded+pipelined", ref, got)
+	stateEqual(t, "sharded+compact", ref, got)
 }
 
-// TestPipelinedAsyncMatchesSerial forces the record pipeline's ASYNC mode
-// (producer goroutine + block handoff) by raising GOMAXPROCS, so the
-// concurrent path is exercised — and bit-identical — even when the test
-// host has a single CPU (where newKDPipe would otherwise pick inline
-// mode). Runs under -race in CI.
-func TestPipelinedAsyncMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, tc := range []struct {
-		policy Policy
-		p      Params
-	}{
-		{KDChoice, Params{N: 200, K: 2, D: 64}},
-		{SerializedKD, Params{N: 200, K: 3, D: 8, Sigma: []int{1, 2, 0}}},
-		{DChoice, Params{N: 200, D: 3}},
-		{DynamicKD, Params{N: 200, D: 5}},
-	} {
-		const seed, m = 90125, 1111
-		ref := MustNew(tc.policy, tc.p, xrand.New(seed))
-		p := tc.p
-		p.Pipeline = true
-		p.Store = loadvec.StoreCompact
-		got := MustNew(tc.policy, p, xrand.New(seed))
-		if got.eng == nil || got.eng.inline {
-			t.Fatalf("%v: expected async record pipeline (GOMAXPROCS=%d)", tc.policy, runtime.GOMAXPROCS(0))
-		}
-		ref.Place(m)
-		got.Place(m)
-		stateEqual(t, tc.policy.String()+"/async", ref, got)
-		got.Close()
-		got.Close() // idempotent
+// TestBlockEngineObserverSeesSamples: the pre-drawn rounds must hand the
+// observer the round's true raw samples (aliasing the engine's block).
+func TestBlockEngineObserverSeesSamples(t *testing.T) {
+	pr := MustNew(KDChoice, Params{N: 128, K: 2, D: 9}, xrand.New(44))
+	rc := &ruleChecker{t: t}
+	pr.SetObserver(rc)
+	pr.Place(512)
+	if rc.rounds != pr.Rounds() {
+		t.Fatalf("observer saw %d rounds, process ran %d", rc.rounds, pr.Rounds())
 	}
-}
-
-// TestPipelinedObserverSeesSamples: the pipelined rounds must hand the
-// observer the round's true raw samples (copied into the consumer-local
-// block), under both pipe modes.
-func TestPipelinedObserverSeesSamples(t *testing.T) {
-	run := func(name string) {
-		t.Helper()
-		pr := MustNew(KDChoice, Params{N: 128, K: 2, D: 9, Pipeline: true}, xrand.New(44))
-		defer pr.Close()
-		rc := &ruleChecker{t: t}
-		pr.SetObserver(rc)
-		pr.Place(512)
-		if rc.rounds != pr.Rounds() {
-			t.Fatalf("%s: observer saw %d rounds, process ran %d", name, rc.rounds, pr.Rounds())
-		}
-		if rc.maxSeen != pr.MaxLoad() {
-			t.Fatalf("%s: max height seen %d != max load %d", name, rc.maxSeen, pr.MaxLoad())
-		}
+	if rc.maxSeen != pr.MaxLoad() {
+		t.Fatalf("max height seen %d != max load %d", rc.maxSeen, pr.MaxLoad())
 	}
-	run("default-mode")
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	run("async-mode")
 }
 
 // TestShardsValidation: the fixed-prologue policies may shard; the
@@ -312,8 +257,8 @@ func TestSAx0LoadCountConsistentAcrossStores(t *testing.T) {
 }
 
 // TestRoundAllocationFreeEngines extends the zero-allocs-per-round pin to
-// the new engines: compact and histogram stores, the pipelined sampler, and
-// sharded StaleBatch rounds (goroutine launches recycle g's, so the steady
+// the new engines: compact and histogram stores, and sharded StaleBatch
+// rounds (goroutine launches recycle g's, so the steady
 // state stays allocation-free).
 func TestRoundAllocationFreeEngines(t *testing.T) {
 	cases := []struct {
@@ -323,14 +268,12 @@ func TestRoundAllocationFreeEngines(t *testing.T) {
 	}{
 		{"kd/compact", KDChoice, Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreCompact}},
 		{"kd/hist", KDChoice, Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreHist}},
-		{"kd/pipeline", KDChoice, Params{N: 4096, K: 2, D: 64, Pipeline: true}},
-		{"kd/compact+pipeline", KDChoice, Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreCompact, Pipeline: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := MustNew(tc.policy, tc.p, xrand.New(9))
 			defer pr.Close()
-			pr.Place(4096) // warm the scratch buffers and pipeline blocks
+			pr.Place(4096) // warm the scratch buffers and engine blocks
 			if avg := testing.AllocsPerRun(200, pr.Round); avg != 0 {
 				t.Fatalf("%v allocs per round, want 0", avg)
 			}
@@ -358,14 +301,13 @@ func TestCompactStoreEscapeUnderProcess(t *testing.T) {
 }
 
 // TestSpecializedKernelMatchesInterface is the devirtualization acceptance
-// property: for every policy, every concrete store, every superstep size
-// (auto, B=1, and a non-divisor B), and both engine modes, the
-// store-specialized kernels produce results bit-identical to the
-// interface-dispatch reference kernel (the path custom stores take). The
-// reference runs serially with the default superstep; the variants cover
-// the full (policy × store × block × pipeline) matrix, so this pins kernel
-// specialization, superstep batching, and the pipelined engine against one
-// oracle at once. Run under -race in CI.
+// property: for every policy, every concrete store, and every superstep
+// size (auto, B=1, and a non-divisor B), the store-specialized kernels
+// produce results bit-identical to the interface-dispatch reference kernel
+// (the path custom stores take). The reference runs serially with the
+// default superstep; the variants cover the full (policy × store × block)
+// matrix, so this pins kernel specialization and superstep batching
+// against one oracle at once. Run under -race in CI.
 func TestSpecializedKernelMatchesInterface(t *testing.T) {
 	stores := []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble, loadvec.StoreSketch}
 	blocks := []int{0, 1, 3} // auto, single-round, non-divisor of the round count
@@ -383,17 +325,13 @@ func TestSpecializedKernelMatchesInterface(t *testing.T) {
 				ref.forceInterfaceKernel()
 				ref.Place(m)
 				for _, block := range blocks {
-					for _, pipeline := range []bool{false, true} {
-						p := tc.p
-						p.Store = store
-						p.Block = block
-						p.Pipeline = pipeline
-						got := MustNew(tc.policy, p, xrand.New(seed))
-						got.Place(m)
-						stage := fmt.Sprintf("%v/block=%d/pipeline=%v", store, block, pipeline)
-						stateEqual(t, stage, ref, got)
-						got.Close()
-					}
+					p := tc.p
+					p.Store = store
+					p.Block = block
+					got := MustNew(tc.policy, p, xrand.New(seed))
+					got.Place(m)
+					stateEqual(t, fmt.Sprintf("%v/block=%d", store, block), ref, got)
+					got.Close()
 				}
 			}
 		})

@@ -84,7 +84,7 @@ type ApproxFrontierPoint struct {
 // seeds across stores, reporting measured bytes per bin next to the
 // achieved max load and gap. Runs execute serially — the study exists to
 // measure per-store memory, so only one allocator's store is live at a
-// time — with the pipelined engine on inside each run.
+// time.
 func ApproxFrontier(opts ApproxFrontierOpts) ([]ApproxFrontierPoint, error) {
 	o := opts.withDefaults()
 	out := make([]ApproxFrontierPoint, 0, len(o.Ns)*len(o.Stores))
@@ -98,7 +98,6 @@ func ApproxFrontier(opts ApproxFrontierOpts) ([]ApproxFrontierPoint, error) {
 					Store:       store,
 					SketchWidth: o.SketchWidth,
 					SketchDepth: o.SketchDepth,
-					Pipeline:    true,
 					// Same per-(n, run) seed for every store, so the exact
 					// stores run literally the same allocation and the
 					// sketch's divergence is attributable to the sketch.

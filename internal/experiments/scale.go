@@ -1,15 +1,15 @@
 package experiments
 
 // The heavy-load scale study: the regime the compact bin stores and the
-// pipelined round engine exist for. ScalingGrid and HeavyGrid (see
+// superstep round engine exist for. ScalingGrid and HeavyGrid (see
 // experiments.go) walk parameter grids at moderate n; HeavyScale pushes one
 // (k, d) shape to production-scale bin counts with m = Mult·n balls,
-// running every cell on the compact store with the pipelined engine and
-// streaming per-run aggregation, so memory stays ~2 bytes/bin + O(runs)
-// regardless of how many runs a cell repeats. n = 10⁷ runs in the default
-// configuration; at 10⁸ bins the compact store needs ~200 MB for the load
-// state (the dense reference would need 800 MB), which fits commodity
-// hardware — see README "Scaling limits & memory".
+// running every cell on the compact store with streaming per-run
+// aggregation, so memory stays ~2 bytes/bin + O(runs) regardless of how
+// many runs a cell repeats. n = 10⁷ runs in the default configuration; at
+// 10⁸ bins the compact store needs ~200 MB for the load state (the dense
+// reference would need 800 MB), which fits commodity hardware — see README
+// "Scaling limits & memory".
 
 import (
 	"fmt"
@@ -81,22 +81,21 @@ type HeavyScalePoint struct {
 }
 
 // HeavyScale runs the heavy-load scale study: Mult·n balls into n bins for
-// every n, on the selected store with the pipelined round engine, streaming
-// per-run aggregation (no O(n) retention per finished run). The gap
-// (max − m/n) is the Theorem 2 quantity; the study shows it stays bounded
-// by the m-independent leading term as n scales up.
+// every n, on the selected store, streaming per-run aggregation (no O(n)
+// retention per finished run). The gap (max − m/n) is the Theorem 2
+// quantity; the study shows it stays bounded by the m-independent leading
+// term as n scales up.
 func HeavyScale(opts HeavyScaleOpts) ([]HeavyScalePoint, error) {
 	o := opts.withDefaults()
 	cells := make([]kdchoice.Cell, len(o.Ns))
 	for i, n := range o.Ns {
 		cells[i] = kdchoice.Cell{
 			Config: kdchoice.Config{
-				Bins:     n,
-				K:        o.K,
-				D:        o.D,
-				Store:    *o.Store,
-				Pipeline: true,
-				Seed:     o.Seed + uint64(i)*1e6,
+				Bins:  n,
+				K:     o.K,
+				D:     o.D,
+				Store: *o.Store,
+				Seed:  o.Seed + uint64(i)*1e6,
 			},
 			Balls: o.Mult * n,
 		}

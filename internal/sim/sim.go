@@ -9,10 +9,14 @@
 // every configuration onto one pool, so a multi-cell sweep keeps all workers
 // busy even when individual cells have few runs. Results are written into
 // preallocated per-run slots, so the outcome is byte-identical for any
-// worker count. Per-run engine knobs (Params.Store, Params.Pipeline, the
-// Params.Block superstep size, Params.Shards) flow through untouched and
-// are bit-identical by construction, so experiment results never depend on
-// which engine configuration a cell happened to run with.
+// worker count. Per-run engine knobs (Params.Store, the Params.Block
+// superstep size, Params.Shards) flow through untouched, and not all of
+// them leave results unchanged: the exact stores and the serial engine's
+// Block never change a result, but the sketch store's loads are
+// overestimates, and Shards >= 2 changes the law of kd, kd-serialized,
+// dchoice and dchoice-coarse at Block > 1 (each round sees its block-start
+// loads) and of oneplusbeta (the same law in distribution only). Every
+// shard count >= 2 gives the same results.
 //
 // This package is internal; the sanctioned entry points are
 // kdchoice.Experiment, kdchoice.Sweep, and kdchoice.Simulate in the root
@@ -266,8 +270,8 @@ func RunAll(workers int, cfgs []Config) ([]*Result, error) {
 		if err != nil {
 			return err
 		}
-		// Release the pipelined engine's producer (no-op otherwise) even on
-		// early exits, so failed batches never leak goroutines.
+		// Stop the sharded engine's workers (no-op otherwise) even on early
+		// exits, so failed batches never leak goroutines.
 		defer pr.Close()
 		pr.Place(cfg.balls())
 		res := results[cell]

@@ -348,7 +348,7 @@ func TestRunAllStopsDispatchOnWorkerError(t *testing.T) {
 	var mu sync.Mutex
 	constructed := 0
 	orig := newProcess
-	newProcess = func(p core.Policy, params core.Params, rng xrand.Source) (*core.Process, error) {
+	newProcess = func(p core.Policy, params core.Params, rng *xrand.Rand) (*core.Process, error) {
 		mu.Lock()
 		constructed++
 		mu.Unlock()

@@ -81,7 +81,7 @@ func TestCollectProfilesWorkerIndependence(t *testing.T) {
 		t.Helper()
 		res, err := RunAll(workers, []Config{{
 			Policy:          core.KDChoice,
-			Params:          core.Params{N: 64, K: 3, D: 7, Store: loadvec.StoreCompact, Pipeline: true},
+			Params:          core.Params{N: 64, K: 3, D: 7, Store: loadvec.StoreCompact},
 			Runs:            16,
 			Seed:            7,
 			CollectProfiles: true,
@@ -103,9 +103,9 @@ func TestCollectProfilesWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestRunAllStoreAndPipelineDeterminism: the new engine knobs must not
-// change the per-run results the harness reports.
-func TestRunAllStoreAndPipelineDeterminism(t *testing.T) {
+// TestRunAllStoreDeterminism: the store knob must not change the per-run
+// results the harness reports.
+func TestRunAllStoreDeterminism(t *testing.T) {
 	base := Config{
 		Policy: core.KDChoice,
 		Params: core.Params{N: 256, K: 2, D: 8},
@@ -117,19 +117,16 @@ func TestRunAllStoreAndPipelineDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []loadvec.StoreKind{loadvec.StoreCompact, loadvec.StoreHist} {
-		for _, pipeline := range []bool{false, true} {
-			cfg := base
-			cfg.Params.Store = kind
-			cfg.Params.Pipeline = pipeline
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.MaxLoads, ref.MaxLoads) ||
-				!reflect.DeepEqual(got.Gaps, ref.Gaps) ||
-				!reflect.DeepEqual(got.Messages, ref.Messages) {
-				t.Fatalf("store=%v pipeline=%v: results diverged from dense serial reference", kind, pipeline)
-			}
+		cfg := base
+		cfg.Params.Store = kind
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.MaxLoads, ref.MaxLoads) ||
+			!reflect.DeepEqual(got.Gaps, ref.Gaps) ||
+			!reflect.DeepEqual(got.Messages, ref.Messages) {
+			t.Fatalf("store=%v: results diverged from dense serial reference", kind)
 		}
 	}
 }

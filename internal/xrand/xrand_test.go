@@ -470,29 +470,6 @@ func TestFillRoundsPanics(t *testing.T) {
 	}
 	mustPanicF("n=0", func() { New(1).FillRounds(make([]int, 4), make([]uint64, 2), 2, 0) })
 	mustPanicF("shape mismatch", func() { New(1).FillRounds(make([]int, 3), make([]uint64, 2), 2, 10) })
-	mustPanicF("pipelined n=0", func() {
-		p := NewPipelined(New(1), 0, 0)
-		defer p.Close()
-		p.FillRounds(make([]int, 4), make([]uint64, 2), 2, 0)
-	})
-}
-
-// TestPipelinedFillRoundsMatchesRand extends the pipelined bit-identity
-// contract to the superstep fill.
-func TestPipelinedFillRoundsMatchesRand(t *testing.T) {
-	const d, rounds, n, seed = 6, 50, 997, 4242
-	ref := New(seed)
-	p := NewPipelined(New(seed), 64, 2)
-	defer p.Close()
-	wantS := make([]int, rounds*d)
-	wantN := make([]uint64, rounds)
-	ref.FillRounds(wantS, wantN, d, n)
-	gotS := make([]int, rounds*d)
-	gotN := make([]uint64, rounds)
-	p.FillRounds(gotS, gotN, d, n)
-	if !reflect.DeepEqual(gotS, wantS) || !reflect.DeepEqual(gotN, wantN) {
-		t.Fatal("Pipelined.FillRounds diverged from Rand.FillRounds")
-	}
 }
 
 // TestFillRoundsAllocationFree: the superstep fill is on the hot path and

@@ -331,21 +331,13 @@ type Config struct {
 	// StoreHist). The zero value is the dense reference; all stores are
 	// bit-identical in outcome for equal seeds.
 	Store Store
-	// Pipeline moves random generation onto a producer goroutine while the
-	// round loop consumes it (whole pre-drawn supersteps for the round
-	// policies, raw word blocks otherwise) — bit-identical to the serial
-	// path by construction, and typically faster for sample-heavy
-	// configurations (large d). A pipelined Allocator owns a background
-	// goroutine: call Close when done with it. Experiment/Sweep/Simulate
-	// manage the lifecycle automatically.
-	Pipeline bool
 	// Block is the superstep size of the fixed-prologue round policies
-	// (KDChoice, fixed-σ Serialized, DChoice, DynamicKD): randomness is
-	// pre-drawn in blocks of Block rounds, amortizing per-round generator
-	// and scratch setup. Results are bit-identical for every value. 0
-	// (the default) auto-sizes the superstep to ~4096 samples; explicit
-	// values must be >= 1. Policies without a fixed round prologue ignore
-	// Block.
+	// (KDChoice, fixed-σ Serialized, DChoice, CoarseDChoice, DynamicKD):
+	// randomness is pre-drawn in blocks of Block rounds, amortizing
+	// per-round generator and scratch setup. Results are bit-identical for
+	// every value. 0 (the default) auto-sizes the superstep to ~4096
+	// samples; explicit values must be >= 1. Policies without a fixed round
+	// prologue ignore Block.
 	Block int
 	// VecDims > 0 switches the allocator to vector-load mode: every bin
 	// carries a []float64 load vector of this many components, balls arrive
@@ -435,7 +427,6 @@ func (cfg Config) coreConfig() (core.Policy, core.Params, error) {
 		Store:           cfg.Store.toKind(),
 		VecDims:         cfg.VecDims,
 		VecNorm:         cfg.VecNorm.toLoadvec(),
-		Pipeline:        cfg.Pipeline,
 		Block:           cfg.Block,
 		Shards:          cfg.Shards,
 		Quantum:         cfg.Quantum,
@@ -557,8 +548,8 @@ func (a *Allocator) BytesPerBin() float64 { return a.pr.Store().BytesPerBin() }
 // random stream, giving an independent fresh run.
 func (a *Allocator) Reset() { a.pr.Reset() }
 
-// Close releases background resources — the pipelined random engine's
-// producer goroutine (Config.Pipeline). It is a no-op for serial
-// allocators and is idempotent; a closed allocator must not place further
-// balls, but its accessors remain valid.
+// Close stops the sharded engine's worker goroutines (Config.Shards >= 2).
+// It is a no-op for serial allocators and is idempotent. A closed
+// allocator stays fully usable: a sharded one then decides every block on
+// the calling goroutine, with unchanged results.
 func (a *Allocator) Close() { a.pr.Close() }

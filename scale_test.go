@@ -81,7 +81,7 @@ func sortedStrings(xs []string) bool {
 }
 
 // TestAllocatorStoresBitIdentical: the public Allocator produces identical
-// results on every store and engine combination for equal seeds.
+// results on every exact store for equal seeds.
 func TestAllocatorStoresBitIdentical(t *testing.T) {
 	base := Config{Bins: 512, K: 2, D: 16, Seed: 5}
 	ref, err := New(base)
@@ -90,24 +90,21 @@ func TestAllocatorStoresBitIdentical(t *testing.T) {
 	}
 	ref.PlaceAll()
 	for _, store := range []Store{StoreCompact, StoreHist, StoreNibble} {
-		for _, pipeline := range []bool{false, true} {
-			cfg := base
-			cfg.Store = store
-			cfg.Pipeline = pipeline
-			a, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.PlaceAll()
-			if !reflect.DeepEqual(a.Loads(), ref.Loads()) {
-				t.Fatalf("store=%v pipeline=%v: loads diverged", store, pipeline)
-			}
-			if a.MaxLoad() != ref.MaxLoad() || a.Messages() != ref.Messages() || a.Gap() != ref.Gap() {
-				t.Fatalf("store=%v pipeline=%v: summary stats diverged", store, pipeline)
-			}
-			a.Close()
-			a.Close() // idempotent
+		cfg := base
+		cfg.Store = store
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		a.PlaceAll()
+		if !reflect.DeepEqual(a.Loads(), ref.Loads()) {
+			t.Fatalf("store=%v: loads diverged", store)
+		}
+		if a.MaxLoad() != ref.MaxLoad() || a.Messages() != ref.Messages() || a.Gap() != ref.Gap() {
+			t.Fatalf("store=%v: summary stats diverged", store)
+		}
+		a.Close()
+		a.Close() // idempotent
 	}
 }
 
@@ -181,7 +178,7 @@ func TestExperimentCollectProfiles(t *testing.T) {
 		t.Helper()
 		rep, err := Experiment{
 			Cells: []Cell{{Config: Config{
-				Bins: 128, K: 2, D: 6, Store: StoreCompact, Pipeline: true,
+				Bins: 128, K: 2, D: 6, Store: StoreCompact,
 			}}},
 			Runs:            8,
 			Seed:            21,

@@ -7,11 +7,11 @@
 #                          tree-wide -race pass, parser fuzz smokes, the
 #                          hot-path escape gate, and quick-mode bench +
 #                          scale smoke runs (exercising every store and
-#                          the pipelined engine end to end)
+#                          the superstep engine end to end)
 #   scripts/ci.sh bench    refresh the tracked benchmark grids
 #                          (BENCH_kd.json, BENCH_scale.json,
-#                          BENCH_serve.json, BENCH_approx.json,
-#                          BENCH_parallel.json and BENCH_faults.json)
+#                          BENCH_serve.json, BENCH_approx.json and
+#                          BENCH_faults.json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,8 +24,6 @@ if [ "${1:-}" = "bench" ]; then
     go run ./cmd/bench -serve -out BENCH_serve.json
     echo "==> refreshing BENCH_approx.json (approximate-store grid, ~60s)"
     go run ./cmd/bench -approx -out BENCH_approx.json
-    echo "==> refreshing BENCH_parallel.json (shard-count series, ~60s)"
-    go run ./cmd/bench -parallel -out BENCH_parallel.json
     echo "==> refreshing BENCH_faults.json (fault-injection serving grid, ~10s)"
     go run ./cmd/bench -faults -out BENCH_faults.json
     exit 0
@@ -96,16 +94,15 @@ scripts/escapecheck.sh
 echo "==> bench smoke: micro grid (-quick)"
 go run ./cmd/bench -quick -out ''
 
-echo "==> bench smoke: scale grid (-scale -quick; all stores + pipeline)"
+echo "==> bench smoke: scale grid (-scale -quick; all stores)"
 go run ./cmd/bench -scale -quick -out ''
 
 echo "==> bench smoke: explicit superstep sizes (-block 1 and 7, bit-identical engines)"
 go run ./cmd/bench -quick -block 1 -out ''
 go run ./cmd/bench -quick -block 7 -out ''
 
-echo "==> bench smoke: sharded ablation and worker-count series (-shards 3, -parallel)"
+echo "==> bench smoke: sharded ablation (-shards 3)"
 go run ./cmd/bench -quick -shards 3 -out ''
-go run ./cmd/bench -parallel -quick -out ''
 
 echo "==> bench smoke: scale grid on the nibble store (-scale -quick -store nibble)"
 go run ./cmd/bench -scale -quick -store nibble -out ''
@@ -129,7 +126,7 @@ go run ./cmd/kdsim -n 4096 -m 20000 -d 2 -beta 1 -runs 2 \
     -churn diurnal:0.0005,0.5 -weights zipf:1.5,64 -store hist
 
 echo "==> perf ratchet: tracked cells vs committed BENCH_kd.json (warns, never fails)"
-# Re-times the serial, 4-shard and pipelined acceptance cells (k=2, d=64)
+# Re-times the serial and 4-shard acceptance cells (k=2, d=64)
 # and the k=8, d=16 and k=128, d=192 cells (the selector's flat ranker and
 # counting path) at full size against the committed trajectory. A >15%
 # regression prints a PERF WARNING but does not fail the pipeline
