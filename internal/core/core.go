@@ -206,7 +206,8 @@ type Params struct {
 	// instead of the default O(d + k log k) counting kernel. Both kernels
 	// consume the random stream identically and induce the same allocation
 	// law (see select.go); the reference kernel exists as the oracle for
-	// equivalence testing and debugging.
+	// equivalence testing and debugging. It runs on the serial engine only:
+	// Validate rejects it with Shards > 1.
 	ReferenceSelect bool
 	// Store selects the bin-load representation: the dense []int reference
 	// (zero value), the compact 2-bytes/bin store with overflow escape,
@@ -551,6 +552,11 @@ func Validate(policy Policy, p Params) error {
 		// SAx0's rank bookkeeping (loadCount) indexes by true loads; sketch
 		// estimates would desynchronize (and can exceed) it.
 		return fmt.Errorf("core: SAx0 requires an exact store, got %v (its load-rank bookkeeping breaks under approximate loads)", p.Store)
+	}
+	if p.ReferenceSelect && p.Shards > 1 && (policy == KDChoice || policy == SerializedKD) {
+		// The sharded decide lane ranks with the counting kernel only;
+		// accepting the pair would silently run that kernel instead.
+		return fmt.Errorf("core: ReferenceSelect runs on the serial engine only; got Shards = %d (use Shards <= 1 with ReferenceSelect)", p.Shards)
 	}
 	if p.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d, must be non-negative", p.Shards)

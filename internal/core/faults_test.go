@@ -80,8 +80,8 @@ func TestNoPlanZeroAllocs(t *testing.T) {
 }
 
 // TestFaultyRoundZeroAllocs: the degraded round itself must run
-// alloc-free once its buffers are warm — the contract -comparefaults
-// enforces on the serving path, pinned here on the round path.
+// alloc-free once its buffers are warm — the contract cmd/bench -compare
+// enforces on the faulty serving path, pinned here on the round path.
 func TestFaultyRoundZeroAllocs(t *testing.T) {
 	plan := testPlan
 	p := Params{N: 256, K: 2, D: 8, Faults: &plan}

@@ -325,7 +325,9 @@ type Config struct {
 	// sort-based slot-selection kernel instead of the default O(d + k log k)
 	// counting kernel. Both induce the same allocation law and, for a fixed
 	// Seed, the same results; the option exists for verification and
-	// benchmarking against the reference implementation.
+	// benchmarking against the reference implementation. The sharded
+	// engine has no reference kernel, so New rejects ReferenceSelect with
+	// Shards > 1 on kd and kd-serialized.
 	ReferenceSelect bool
 	// Store selects the bin-load representation (StoreDense, StoreCompact,
 	// StoreHist). The zero value is the dense reference; all stores are

@@ -412,3 +412,20 @@ func TestReferenceSelectPublicCoupling(t *testing.T) {
 		t.Fatal("public-API kernel summaries diverged")
 	}
 }
+
+// TestReferenceSelectRejectsShards: the sharded engine ranks with the
+// counting kernel only, so ReferenceSelect with Shards > 1 must fail at
+// New, naming both knobs, instead of silently running the fast kernel.
+func TestReferenceSelectRejectsShards(t *testing.T) {
+	for _, p := range []Policy{KDChoice, Serialized} {
+		_, err := New(Config{Bins: 512, K: 2, D: 8, Seed: 1, Policy: p, ReferenceSelect: true, Shards: 2})
+		if err == nil || !strings.Contains(err.Error(), "ReferenceSelect") || !strings.Contains(err.Error(), "Shards") {
+			t.Fatalf("%v: ReferenceSelect with Shards = 2: err = %v, want a rejection naming both knobs", p, err)
+		}
+		a, err := New(Config{Bins: 512, K: 2, D: 8, Seed: 1, Policy: p, ReferenceSelect: true, Shards: 1})
+		if err != nil {
+			t.Fatalf("%v: ReferenceSelect with Shards = 1 rejected: %v", p, err)
+		}
+		a.Close()
+	}
+}

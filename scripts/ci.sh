@@ -5,27 +5,24 @@
 #                          vet/test/kdlint, build, arm64/386/darwin
 #                          cross-builds, full tests, a
 #                          tree-wide -race pass, parser fuzz smokes, the
-#                          hot-path escape gate, and quick-mode bench +
-#                          scale smoke runs (exercising every store and
-#                          the superstep engine end to end)
-#   scripts/ci.sh bench    refresh the tracked benchmark grids
-#                          (BENCH_kd.json, BENCH_scale.json,
-#                          BENCH_serve.json, BENCH_approx.json and
-#                          BENCH_faults.json)
+#                          hot-path escape gate, quick-mode smoke runs of
+#                          every bench grid and four ablations (exercising
+#                          every store and the superstep engine end to
+#                          end), and the perf ratchet over every tracked
+#                          BENCH_<grid>.json
+#   scripts/ci.sh bench    refresh the tracked benchmark grids, one
+#                          BENCH_<grid>.json per grid (kd, scale, serve,
+#                          approx, faults)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+grids="kd scale serve approx faults"
+
 if [ "${1:-}" = "bench" ]; then
-    echo "==> refreshing BENCH_kd.json (full micro grid, ~30s)"
-    go run ./cmd/bench -out BENCH_kd.json
-    echo "==> refreshing BENCH_scale.json (scale grid, ~60s)"
-    go run ./cmd/bench -scale -out BENCH_scale.json
-    echo "==> refreshing BENCH_serve.json (online serving grid, ~10s)"
-    go run ./cmd/bench -serve -out BENCH_serve.json
-    echo "==> refreshing BENCH_approx.json (approximate-store grid, ~60s)"
-    go run ./cmd/bench -approx -out BENCH_approx.json
-    echo "==> refreshing BENCH_faults.json (fault-injection serving grid, ~10s)"
-    go run ./cmd/bench -faults -out BENCH_faults.json
+    for g in $grids; do
+        echo "==> refreshing BENCH_$g.json"
+        go run ./cmd/bench -grid "$g"
+    done
     exit 0
 fi
 
@@ -91,30 +88,16 @@ done
 echo "==> escapecheck: compiler escape verdicts over //kd:hotpath functions"
 scripts/escapecheck.sh
 
-echo "==> bench smoke: micro grid (-quick)"
-go run ./cmd/bench -quick -out ''
+echo "==> bench smoke: every grid (-quick, stdout only)"
+for g in $grids; do
+    go run ./cmd/bench -quick -grid "$g" -out ''
+done
 
-echo "==> bench smoke: scale grid (-scale -quick; all stores)"
-go run ./cmd/bench -scale -quick -out ''
-
-echo "==> bench smoke: explicit superstep sizes (-block 1 and 7, bit-identical engines)"
+echo "==> bench smoke: ablations (-block 1 and 7, -shards 3, the scale grid on the nibble store)"
 go run ./cmd/bench -quick -block 1 -out ''
 go run ./cmd/bench -quick -block 7 -out ''
-
-echo "==> bench smoke: sharded ablation (-shards 3)"
 go run ./cmd/bench -quick -shards 3 -out ''
-
-echo "==> bench smoke: scale grid on the nibble store (-scale -quick -store nibble)"
-go run ./cmd/bench -scale -quick -store nibble -out ''
-
-echo "==> bench smoke: approximate-store grid (-approx -quick; B/bin + inflation columns)"
-go run ./cmd/bench -approx -quick -out ''
-
-echo "==> bench smoke: online serving grid (-serve -quick; insert/delete mix, every store)"
-go run ./cmd/bench -serve -quick -out ''
-
-echo "==> bench smoke: fault-injection grid (-faults -quick; loss/retry/outage/evict plans)"
-go run ./cmd/bench -faults -quick -out ''
+go run ./cmd/bench -quick -grid scale -store nibble -out ''
 
 echo "==> faults smoke: degraded round + serving runs via kdsim (deterministic fault layer)"
 go run ./cmd/kdsim -n 4096 -k 2 -d 8 -runs 2 -faults fail:0.001,100+loss:0.2+retry:2
@@ -125,33 +108,18 @@ echo "==> serve smoke: churned weighted study via kdsim (deterministic online pa
 go run ./cmd/kdsim -n 4096 -m 20000 -d 2 -beta 1 -runs 2 \
     -churn diurnal:0.0005,0.5 -weights zipf:1.5,64 -store hist
 
-echo "==> perf ratchet: tracked cells vs committed BENCH_kd.json (warns, never fails)"
-# Re-times the serial and 4-shard acceptance cells (k=2, d=64)
-# and the k=8, d=16 and k=128, d=192 cells (the selector's flat ranker and
-# counting path) at full size against the committed trajectory. A >15%
-# regression prints a PERF WARNING but does not fail the pipeline
-# (benchmark boxes are noisy); treat warnings as a prompt to run
-# `scripts/ci.sh bench` and investigate before refreshing the JSONs. The
-# sharded cell is the parallel-engine ratchet: it regresses when the
-# superstep machinery itself slows down, independent of how many cores the
-# box offers.
-go run ./cmd/bench -compare BENCH_kd.json || echo "perf ratchet skipped (bench error)"
-
-echo "==> perf ratchet: tracked serving cell vs committed BENCH_serve.json (warns, never fails)"
-# The mixed insert/delete cell additionally warns if the specialized
-# kernels ever start allocating per operation.
-go run ./cmd/bench -compareserve BENCH_serve.json || echo "serve ratchet skipped (bench error)"
-
-echo "==> perf ratchet: tracked approximate-store cell vs committed BENCH_approx.json (warns, never fails)"
-# The n=10^8 nibble cell additionally warns if its measured bytes/bin ever
-# exceeds the 0.6 B/bin budget the sub-byte store exists to hold.
-go run ./cmd/bench -compareapprox BENCH_approx.json || echo "approx ratchet skipped (bench error)"
-
-echo "==> perf ratchet: tracked faulty serving cell vs committed BENCH_faults.json"
-# Time drift >15% warns like the other ratchets, but any per-op allocation
-# in the faulty serving path FAILS the pipeline: the fault layer's
-# zero-allocation contract is a correctness gate, not a perf preference.
-go run ./cmd/bench -comparefaults BENCH_faults.json
+echo "==> perf ratchet: every grid's ratchet cells vs the committed BENCH_*.json"
+# Re-times the seven ratchet cells at full size against the committed
+# files: the serial and 4-shard k=2, d=64 cells, k=8, d=16 and
+# k=128, d=192 (the selector's flat ranker and counting path), the hist
+# serving cell, the n=10^8 nibble cell and the full-plan faults cell.
+# A >15% ns/op regression, the nibble cell over its 0.6 B/bin budget, or a
+# file without its grid's ratchet cells prints a PERF WARNING but does not
+# fail the pipeline (benchmark boxes are noisy); treat warnings as a prompt
+# to run `scripts/ci.sh bench` and investigate before refreshing the JSONs.
+# Any per-op allocation in a ratchet cell, or a bench error, FAILS it: the
+# hot paths' zero-allocation contract is a correctness gate.
+go run ./cmd/bench -compare .
 
 # Import hygiene (cmd/examples on the public API only; substrates
 # reachable only from the root package and internal/experiments) is
