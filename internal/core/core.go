@@ -43,11 +43,12 @@
 // supersteps of Params.Block rounds (kernel and engine both bit-identical
 // to the interface/per-round reference paths). Params.Shards engages the
 // sharded superstep engine (shard.go): each superstep's randomness is
-// pre-drawn serially, a persistent worker pool splits the block's rounds
-// into contiguous chunks, each worker gathering its chunk's loads from the
-// unchanging store and deciding those rounds against that frozen snapshot,
-// and placements apply serially in round order. Sharded results are bit-identical for ANY worker
-// count (snapshot cells are positional, not scheduling-dependent); relative
+// pre-drawn in the serial stream order, the workers of a persistent pool
+// claim the block's rounds from a shared cursor, each gathering its rounds'
+// loads from the unchanging store and deciding them against that frozen
+// snapshot, and placements apply serially in round order. Sharded results
+// are bit-identical for ANY worker count (snapshot cells are positional,
+// not scheduling-dependent); relative
 // to the serial process they are
 // bit-identical wherever the policy's semantics allow (StaleBatch and
 // SingleChoice always; the load-coupled round policies at Block = 1) and
@@ -236,13 +237,15 @@ type Params struct {
 	// >= 1. Policies without a fixed prologue ignore Block.
 	Block int
 	// Shards engages the sharded superstep engine with this many workers:
-	// each superstep's randomness is pre-drawn serially, then in one
-	// parallel phase every worker takes a contiguous chunk of the block's
-	// rounds (of a StaleBatch round's balls), gathers that chunk's loads —
-	// the store is read-only until the phase ends, so every worker sees the
-	// block-start loads — and decides those rounds; placements then apply
+	// each superstep's randomness is pre-drawn in the serial stream order
+	// (KDChoice and fixed-σ SerializedKD draw the next block on worker 0
+	// during the current decide phase), then in one parallel phase the
+	// workers claim the block's rounds from a shared cursor, roundClaim at a
+	// time (a StaleBatch round's balls in contiguous chunks), gather their
+	// loads — the store is read-only until the phase ends, so every worker
+	// sees the block-start loads — and decide them; placements then apply
 	// serially in round order. Results are bit-identical across ANY shard
-	// count >= 2 (chunk boundaries cannot reach a decision).
+	// count >= 2 (which worker decides a round cannot reach the decision).
 	// Relative to the serial process: StaleBatch and SingleChoice are
 	// bit-identical always; KDChoice, fixed-σ SerializedKD, DChoice, and
 	// CoarseDChoice are bit-identical at Block = 1 and otherwise see each

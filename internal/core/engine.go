@@ -15,7 +15,9 @@ package core
 // which amortizes the fixed per-round costs — generator state loads, Lemire
 // threshold setup, call overhead — across the whole block. The engine
 // shares the process's rng and refills its block in place, on the calling
-// goroutine, whenever the block runs dry.
+// goroutine, whenever the block runs dry. The sharded engine (shard.go)
+// may instead draw the next block ahead into a second block, on one of its
+// workers, while the current one is decided.
 
 import "repro/internal/xrand"
 
@@ -32,6 +34,14 @@ type kdBlock struct {
 	nonces  []uint64 // rounds
 }
 
+// newKDBlock allocates a block of rounds rounds of d samples.
+func newKDBlock(rounds, d int) kdBlock {
+	return kdBlock{
+		samples: make([]int, rounds*d),
+		nonces:  make([]uint64, rounds),
+	}
+}
+
 // roundEngine pre-draws kdRound records in blocks of `rounds` rounds.
 type roundEngine struct {
 	d      int
@@ -39,9 +49,11 @@ type roundEngine struct {
 	n      int
 	rng    *xrand.Rand // shared with the owning Process
 
-	blk kdBlock
-	idx int
-	cur kdRound // scratch for next()'s return value
+	blk   kdBlock
+	ahead kdBlock // the next block once drawAhead drew it (sharded engine only)
+	drawn bool    // ahead holds the next block
+	idx   int
+	cur   kdRound // scratch for next()'s return value
 }
 
 // blockEligible reports whether the policy/params combination has the
@@ -105,11 +117,8 @@ func newRoundEngine(rng *xrand.Rand, n, d, rounds int) *roundEngine {
 		rounds: rounds,
 		n:      n,
 		rng:    rng,
-		blk: kdBlock{
-			samples: make([]int, rounds*d),
-			nonces:  make([]uint64, rounds),
-		},
-		idx: rounds, // force a refill on the first next()
+		blk:    newKDBlock(rounds, d),
+		idx:    rounds, // force a refill on the first next()
 	}
 }
 
@@ -143,15 +152,40 @@ func (p *roundEngine) peekNext() []int {
 	return p.blk.samples[i*p.d : (i+1)*p.d]
 }
 
-// nextBlock refills and returns the whole block at once. The sharded
-// superstep engine (shard.go) consumes blocks wholesale — it decides every
-// round of a block in one parallel phase — so it bypasses the per-round
-// cursor; next() and nextBlock() must not be mixed on one engine. The
-// returned block is valid until the following nextBlock call.
+// nextBlock returns the whole next block at once: the drawn-ahead block
+// when drawAhead drew one, else a block drawn now. The sharded superstep
+// engine (shard.go) consumes blocks wholesale — it decides every round of a
+// block in one parallel phase — so it bypasses the per-round cursor; next()
+// and nextBlock() must not be mixed on one engine. The returned pointer
+// stays put; the block it points at is valid until the following nextBlock
+// call.
 func (p *roundEngine) nextBlock() *kdBlock {
-	p.advance()
+	if p.drawn {
+		p.blk, p.ahead = p.ahead, p.blk
+		p.drawn = false
+	} else {
+		p.advance()
+	}
 	p.idx = p.rounds // keep the per-round cursor poisoned (exhausted)
 	return &p.blk
+}
+
+// drawAhead draws the block the following nextBlock call returns, unless
+// it is drawn already, into the engine's second block; the current block
+// is left untouched, so the sharded engine calls it on one worker while the
+// others decide the current block. Blocks are drawn in the same stream
+// order either way, so drawing ahead changes no word of any block. The
+// second block is allocated on the first call: the serial engine never
+// draws ahead.
+func (p *roundEngine) drawAhead() {
+	if p.drawn {
+		return
+	}
+	if p.ahead.nonces == nil {
+		p.ahead = newKDBlock(p.rounds, p.d)
+	}
+	p.rng.FillRounds(p.ahead.samples, p.ahead.nonces, p.d, p.n)
+	p.drawn = true
 }
 
 // advance draws the next block: per round, exactly FillIntn(samples, n)

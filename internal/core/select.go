@@ -22,23 +22,30 @@ import (
 //     sort-everything path, kept as the oracle the fast kernel is tested
 //     against.
 //
-// The fast kernel's paths:
+// The fast kernel's paths. The first two rank packed keys without the
+// group table: in the flat view every sample sits at load+1, as if its
+// bin were sampled once, so each sample packs into one (height, tie) key.
+// A round either of them cannot rank exactly falls through to the third.
 //
-//   - toPlace <= 4: a streaming top-toPlace fused into the group-table
-//     probe scan.
+//   - the streaming ranker, for toPlace <= 4 at any d: a branch-free pass
+//     keeps the toPlace+1 smallest keys in registers. A repeated bin
+//     changes the result only if two of its copies reach the selection,
+//     and then two of those toPlace+1 keys agree; so do the keys of a
+//     copy at the boundary and of a tie-prefix collision. Those rounds,
+//     and load spreads of 64 or more, fall through. This covers every
+//     k = 2 round, among them the light-load benchmark shape (2,64).
 //   - the flat ranker, for toPlace > 4 and d <= flatMaxD when the d
 //     samples are distinct bins: all but ~d²/2n of rounds, 99.9% at d = 16
-//     and n = 10⁵. Every slot then sits at load+1, so the round needs no
-//     grouping: each sample packs into one (height, tie) key and a
-//     branch-free count over all d² key pairs ranks the round. A round it
-//     cannot rank exactly (a repeated bin, a load spread of 64 or more, a
-//     tie-prefix collision) falls through to the counting path.
+//     and n = 10⁵. A branch-free count over all d² key pairs ranks the
+//     round. A round it cannot rank exactly (a repeated bin, a load spread
+//     of 64 or more, a tie-prefix collision) falls through.
 //   - the counting path: an epoch-stamped open-addressed table (O(d)
 //     space, reused clear-free across a whole superstep) groups the
 //     samples and materializes the slots in the same scan; rankFromSlots
 //     then locates the k-th smallest height by counting over the round's
 //     dense height window, deriving random tie keys lazily — only for
-//     slots at or below the boundary height.
+//     slots at or below the boundary height. It takes the fall-through
+//     rounds and toPlace > 4 at d > flatMaxD.
 //
 // Tie keys are a keyed hash of (bin, height) under a per-round nonce. Both
 // kernels consume the random stream identically (d sample draws plus one
@@ -47,7 +54,8 @@ import (
 // TestFastSelectMatchesReference checks exhaustively. A keyed hash instead
 // of one rng.Uint64 per slot is what makes this possible: tie keys are a
 // pure function of (nonce, bin, height), so computing them lazily, or for
-// every slot as the flat ranker does, does not perturb the stream.
+// every sample as the flat and streaming rankers do, does not perturb the
+// stream.
 //
 // Where the time goes. On the heavily loaded benchmark shape (k = 8,
 // d = 16, n = 10⁵) selection is most of a round: gather and apply hit
@@ -107,6 +115,10 @@ type selector struct {
 	sel   []slot
 	bnd   []slot
 
+	// idxMask covers the low bits of a streamRank key that hold the
+	// sample's index: bits.Len(d-1) of them.
+	idxMask uint64
+
 	// The prefetch target of the round after the one being ranked: the
 	// raw load array's base, its element width in bits, and that round's
 	// samples (see prefetchNext). Not a read of the store: prefetches
@@ -127,6 +139,8 @@ func newSelector(d int) *selector {
 		slots: make([]slot, d),
 		sel:   make([]slot, 0, d),
 		bnd:   make([]slot, 0, d),
+
+		idxMask: 1<<bits.Len(uint(d-1)) - 1,
 	}
 }
 
@@ -161,88 +175,36 @@ func (pr *Process) probeAndRank(nonce uint64, toPlace int) []slot {
 
 // probeAndRank is the store-free heart of the fast kernel, shared by every
 // kernel instantiation and every shard worker: ldv holds the load of each
-// sample (filled by the kernel's specialized gather pass). A round of
-// toPlace <= 4 takes the streaming path; a round the flat ranker can rank
-// exactly returns from flatRank. Any other round takes the counting path:
-// one scan over the samples probes the epoch-stamped group table and
-// materializes the conceptual slots (the i-th sample of bin b has height
-// load(b)+i). The slot SET and the final ranking are independent of slot
-// emission order (the total order on (height, tie, bin) is strict), so
-// fusing the former group-then-materialize pipeline changes no result. A
-// repeat sample's height comes straight from its own ldv entry — the table
-// records only the multiplicity, never the load.
+// sample (filled by the kernel's specialized gather pass). A round that
+// streamRank (toPlace <= streamMaxPlace) or flatRank (toPlace above that,
+// d <= flatMaxD) can rank exactly returns from there. Any other round takes
+// the counting path: one scan over the samples probes the epoch-stamped
+// group table and materializes the conceptual slots (the i-th sample of
+// bin b has height load(b)+i). The slot SET and the final ranking are
+// independent of slot emission order (the total order on (height, tie,
+// bin) is strict), so fusing the former group-then-materialize pipeline
+// changes no result. A repeat sample's height comes straight from its own
+// ldv entry — the table records only the multiplicity, never the load.
 //
 //kd:hotpath
 func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) []slot {
+	if toPlace > 0 && toPlace < len(samples) {
+		if toPlace <= streamMaxPlace {
+			if sel, ok := sc.streamRank(samples, ldv, nonce, toPlace); ok {
+				return sel
+			}
+		} else if len(samples) <= flatMaxD {
+			if sel, ok := sc.flatRank(samples, ldv, nonce, toPlace); ok {
+				return sel
+			}
+		}
+	}
+
 	gt := sc.gtab
 	epoch := gt.nextEpoch()
 	tab := gt.tab
 	stamp := gt.stamp[:len(tab)] // same power-of-two size; ties the lengths for the prover
 	mask := len(tab) - 1
-
-	if toPlace > 0 && toPlace <= 4 && toPlace < len(samples) {
-		// Small-k fast path: selection is fused into the probe scan as a
-		// streaming top-toPlace under the full (height, tie, bin) order —
-		// no slot materialization, no histogram, no second pass. A slot
-		// strictly above the running worst can never enter the selection,
-		// so its tie key is never derived; the surviving set (and, after
-		// the final sort, its ranking) is exactly what the counting path
-		// computes, for ANY height spread — the lazy-tie window exists
-		// only to spare keys, not to define results.
-		topk := sc.sel[:0]
-		worst := -1
-		var wslot slot // register copy of topk[worst]: the compare touches no memory
-		for i, b := range samples {
-			if i&7 == 0 {
-				sc.prefetchAt(i)
-			}
-			key := uint64(b+1) << 32
-			h := int((uint64(uint32(b)) * 0x9e3779b97f4a7c15) >> 32)
-			var ht int
-			for {
-				if stamp[h&mask] != epoch {
-					stamp[h&mask] = epoch
-					tab[h&mask] = key | 1
-					ht = ldv[i] + 1
-					break
-				}
-				if e := tab[h&mask]; e&^0xffffffff == key {
-					c := int(uint32(e)) + 1
-					tab[h&mask] = e + 1
-					ht = ldv[i] + c
-					break
-				}
-				h++
-			}
-			if worst >= 0 {
-				if ht > wslot.height {
-					continue // cannot contend; tie key never needed
-				}
-				s := slot{bin: b, height: ht, tie: tieKey(nonce, b, ht)}
-				if slotLess(s, wslot) {
-					topk[worst] = s
-					worst = worstSlot(topk)
-					wslot = topk[worst]
-				}
-				continue
-			}
-			topk = append(topk, slot{bin: b, height: ht, tie: tieKey(nonce, b, ht)})
-			if len(topk) == toPlace {
-				worst = worstSlot(topk)
-				wslot = topk[worst]
-			}
-		}
-		sc.pfNext = nil
-		sortSlots(topk)
-		sc.sel = topk
-		return topk
-	}
-	if toPlace > 4 && toPlace < len(samples) && len(samples) <= flatMaxD {
-		if sel, ok := sc.flatRank(samples, ldv, nonce, toPlace); ok {
-			return sel
-		}
-	}
-
 	slots := sc.slots[:len(samples)]
 	minH := int(^uint(0) >> 1)
 	maxH := 0
@@ -286,6 +248,71 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 	return sc.rankFromSlots(nonce, toPlace, minH, maxH)
 }
 
+// streamMaxPlace is the largest toPlace streamRank takes: it keeps the
+// toPlace+1 smallest keys in five registers.
+const streamMaxPlace = 4
+
+// streamRank ranks a round of toPlace <= streamMaxPlace balls without the
+// group table. Pass 1 finds the round's load spread and issues the next
+// round's prefetches. Pass 2 packs each sample into one key as flatRank
+// does, its height above the round's lowest load, then the top bits of its
+// load+1 tie key, then (in the bits sc.idxMask covers) its sample index, so
+// keys never repeat. A branch-free min/max network keeps the toPlace+1
+// smallest keys in registers. Every sample is ranked in the flat view, as
+// if its bin were sampled once; a repeated bin's copies share one flat key
+// above the index bits, and a second copy's flat key is never above its
+// true slot. So the flat top-toPlace is the true one unless two of the
+// toPlace+1 smallest keys agree above the index bits: both copies of a bin
+// among them, a copy at the boundary, or a tie-prefix collision. ok is
+// false then, and when the loads spread too wide for the height field: the
+// caller falls through to the counting path. Only the toPlace winners get
+// their full tie keys.
+//
+//kd:hotpath
+func (sc *selector) streamRank(samples, ldv []int, nonce uint64, toPlace int) (sel []slot, ok bool) {
+	ldv = ldv[:len(samples)]
+	lo, ok := sc.flatLow(ldv)
+	if !ok {
+		return nil, false
+	}
+	idx := sc.idxMask
+	t0, t1, t2, t3, t4 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+	for i, b := range samples {
+		l := ldv[i]
+		k := flatKey(l-lo, tieKey(nonce, b, l+1))&^idx | uint64(i)
+		t0, k = min(t0, k), max(t0, k)
+		t1, k = min(t1, k), max(t1, k)
+		t2, k = min(t2, k), max(t2, k)
+		t3, k = min(t3, k), max(t3, k)
+		t4 = min(t4, k)
+	}
+	top := [streamMaxPlace + 1]uint64{t0, t1, t2, t3, t4}
+	if !streamExact(&top, toPlace, idx) {
+		return nil, false
+	}
+	sel = sc.sel[:toPlace]
+	for j := range sel {
+		i := int(top[j] & idx)
+		b, h := samples[i], ldv[i]+1
+		sel[j] = slot{bin: b, height: h, tie: tieKey(nonce, b, h)}
+	}
+	return sel, true
+}
+
+// streamExact reports whether the toPlace+1 smallest keys, ascending in
+// top, differ pairwise above the index bits idx. Equal keys there sit next
+// to each other, so adjacent pairs suffice.
+//
+//kd:hotpath
+func streamExact(top *[streamMaxPlace + 1]uint64, toPlace int, idx uint64) bool {
+	for j := 0; j < toPlace; j++ {
+		if (top[j]^top[j+1])&^idx == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // flatMaxD is the largest round the flat ranker takes; a multiple of 4
 // (rankKeys counts four keys per pass). Its rank count costs d² key
 // compares. Measured against the counting path at n = 10⁵ in a heavy
@@ -297,6 +324,34 @@ const flatMaxD = 48
 // flatHeightBits is the width of a flat key's height field; a round whose
 // sampled loads spread over 1<<flatHeightBits or more falls through.
 const flatHeightBits = 6
+
+// flatLow is pass 1 of the flat-view rankers: it issues the next round's
+// prefetches, once per round whether or not the round is then ranked flat,
+// and returns the round's lowest load, with ok false when the loads spread
+// too wide for the height field.
+//
+//kd:hotpath
+func (sc *selector) flatLow(ldv []int) (lo int, ok bool) {
+	lo, hi := ldv[0], ldv[0]
+	for i, l := range ldv {
+		if i&7 == 0 {
+			sc.prefetchAt(i)
+		}
+		lo = min(lo, l)
+		hi = max(hi, l)
+	}
+	sc.pfNext = nil
+	return lo, hi-lo < 1<<flatHeightBits
+}
+
+// flatKey packs one sample of the flat view: h, its load above the round's
+// lowest, in the top flatHeightBits bits, then the top bits of its load+1
+// tie key.
+//
+//kd:hotpath
+func flatKey(h int, tie uint64) uint64 {
+	return uint64(h)<<(64-flatHeightBits) | tie>>flatHeightBits
+}
 
 // flatRank ranks a round whose samples are distinct bins. Every slot then
 // sits one above its bin's load, so each sample packs into one key, its
@@ -312,23 +367,15 @@ const flatHeightBits = 6
 //kd:hotpath
 func (sc *selector) flatRank(samples, ldv []int, nonce uint64, toPlace int) (sel []slot, ok bool) {
 	ldv = ldv[:len(samples)]
-	lo, hi := ldv[0], ldv[0]
-	for i, l := range ldv {
-		if i&7 == 0 {
-			sc.prefetchAt(i)
-		}
-		lo = min(lo, l)
-		hi = max(hi, l)
-	}
-	sc.pfNext = nil
-	if hi-lo >= 1<<flatHeightBits {
+	lo, ok := sc.flatLow(ldv)
+	if !ok {
 		return nil, false
 	}
 	var keys, ties [flatMaxD]uint64
 	for i, b := range samples {
 		t := tieKey(nonce, b, ldv[i]+1)
 		ties[i] = t
-		keys[i] = uint64(ldv[i]-lo)<<(64-flatHeightBits) | t>>flatHeightBits
+		keys[i] = flatKey(ldv[i]-lo, t)
 	}
 	var rank [flatMaxD]uint8
 	if !rankKeys(&keys, len(samples), &rank) {

@@ -66,38 +66,49 @@ func reversed(k int) []int {
 // both kernels consume the stream identically and share the keyed-hash tie
 // order. The grid spans both sides of the flat ranker's d cutoff, and n from
 // 8 (most rounds repeat a bin and fall through) to 8192 (most rounds are
-// distinct and ranked flat).
+// distinct and ranked flat). The small-k half draws k <= streamMaxPlace and
+// d up to 130, across the streaming ranker's index-field widths.
 func TestFastSelectMatchesReference(t *testing.T) {
 	ns := []int{8, 13, 40, 100, 512, 4096, 8192}
 	for _, policy := range []Policy{KDChoice, SerializedKD} {
-		t.Run(policy.String(), func(t *testing.T) {
-			if err := quick.Check(func(seed uint64, nRaw, kRaw, dRaw, multRaw uint8) bool {
-				n := ns[int(nRaw)%len(ns)]
-				k := int(kRaw%24) + 1
-				d := k + 1 + int(dRaw)%(40-k)
-				if d > n {
-					d = n
-					if k >= d {
-						k = d - 1
-					}
-				}
-				m := (int(multRaw%4)+1)*n/2 + int(multRaw/4)%k
-				p := Params{N: n, K: k, D: d}
-				if policy == SerializedKD {
-					p.Sigma = reversed(k)
-				}
-				fast := MustNew(policy, p, xrand.New(seed))
-				p.ReferenceSelect = true
-				ref := MustNew(policy, p, xrand.New(seed))
-				if err := sameRun(fast, ref, m); err != nil {
-					t.Logf("n=%d k=%d d=%d m=%d seed=%d: %v", n, k, d, m, seed, err)
-					return false
-				}
-				return true
-			}, &quick.Config{MaxCount: 80}); err != nil {
-				t.Fatal(err)
+		for _, small := range []bool{false, true} {
+			name := policy.String()
+			if small {
+				name += "/small-k"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				if err := quick.Check(func(seed uint64, nRaw, kRaw, dRaw, multRaw uint8) bool {
+					n := ns[int(nRaw)%len(ns)]
+					k := int(kRaw%24) + 1
+					d := k + 1 + int(dRaw)%(40-k)
+					if small {
+						k = int(kRaw%streamMaxPlace) + 1
+						d = k + 1 + int(dRaw)%(130-k)
+					}
+					if d > n {
+						d = n
+						if k >= d {
+							k = d - 1
+						}
+					}
+					m := (int(multRaw%4)+1)*n/2 + int(multRaw/4)%k
+					p := Params{N: n, K: k, D: d}
+					if policy == SerializedKD {
+						p.Sigma = reversed(k)
+					}
+					fast := MustNew(policy, p, xrand.New(seed))
+					p.ReferenceSelect = true
+					ref := MustNew(policy, p, xrand.New(seed))
+					if err := sameRun(fast, ref, m); err != nil {
+						t.Logf("n=%d k=%d d=%d m=%d seed=%d: %v", n, k, d, m, seed, err)
+						return false
+					}
+					return true
+				}, &quick.Config{MaxCount: 80}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -196,6 +207,124 @@ func TestFlatRankFallThrough(t *testing.T) {
 			var rank [flatMaxD]uint8
 			if got := rankKeys(&keys, 13, &rank); got != tc.distinct {
 				t.Fatalf("ties %#x and %#x: rankKeys = %v, want %v", uint64(tie), tc.other, got, tc.distinct)
+			}
+		}
+	})
+}
+
+// TestStreamRankFallThrough crafts the rounds streamRank must refuse —
+// both copies of a repeated bin selected, one copy at the toPlace/toPlace+1
+// boundary, a load spread of 64 — next to the ones it must take: a repeat
+// outside the toPlace+1 smallest keys, a spread of 63, and d at the edges of
+// the index field (64/65, 128/129) with the winner at the last index. Each
+// round must match the reference sort at the selector, and a fast process
+// and its ReferenceSelect twin must deliver it identically. A tie-prefix
+// collision cannot be crafted through tieKey, so streamExact is driven with
+// keys packed by flatKey directly.
+func TestStreamRankFallThrough(t *testing.T) {
+	const nonce = 0x243f6a8885a308d3
+	type round struct{ samples, loads []int } // loads indexed by bin
+	cases := []struct {
+		name       string
+		d, toPlace int
+		edit       func(r round)
+		taken      bool
+	}{
+		{"distinct", 16, 3, func(round) {}, true},
+		{"both-copies-selected", 16, 3, func(r round) {
+			r.loads[r.samples[7]] = 5
+			r.samples[11] = r.samples[7]
+		}, false},
+		{"copy-at-boundary", 16, 3, func(r round) {
+			r.loads[r.samples[2]], r.loads[r.samples[5]] = 5, 5
+			r.loads[r.samples[9]] = 6
+			r.samples[13] = r.samples[9]
+		}, false},
+		{"repeat-outside", 16, 3, func(r round) {
+			r.loads[r.samples[4]] = 30
+			r.samples[12] = r.samples[4]
+		}, true},
+		{"spread-63", 16, 3, func(r round) { r.loads[r.samples[7]], r.loads[r.samples[2]] = 9, 9+63 }, true},
+		{"spread-64", 16, 3, func(r round) { r.loads[r.samples[7]], r.loads[r.samples[2]] = 9, 9+64 }, false},
+	}
+	for _, d := range []int{64, 65, 128, 129} {
+		d := d
+		cases = append(cases, []struct {
+			name       string
+			d, toPlace int
+			edit       func(r round)
+			taken      bool
+		}{
+			{fmt.Sprintf("d=%d/last-index-wins", d), d, 4, func(r round) {
+				r.loads[r.samples[d-1]], r.loads[r.samples[d-2]] = 5, 6
+			}, true},
+			{fmt.Sprintf("d=%d/repeat-at-last-index", d), d, 4, func(r round) {
+				r.loads[r.samples[0]] = 5
+				r.samples[d-1] = r.samples[0]
+			}, false},
+		}...)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := round{samples: make([]int, tc.d), loads: make([]int, 3*tc.d+8)}
+			for i := range r.samples {
+				r.samples[i] = 3*i + 1
+				r.loads[r.samples[i]] = 10 + i%3
+			}
+			tc.edit(r)
+			ldv := make([]int, tc.d)
+			for i, b := range r.samples {
+				ldv[i] = r.loads[b]
+			}
+			want := refRank(r.samples, ldv, nonce, tc.toPlace)
+			sc := newSelector(tc.d)
+			sel, ok := sc.streamRank(r.samples, ldv, nonce, tc.toPlace)
+			if ok != tc.taken {
+				t.Fatalf("streamRank ok = %v, want %v", ok, tc.taken)
+			}
+			if ok && !reflect.DeepEqual(sel, want) {
+				t.Fatalf("streamRank %v, reference %v", sel, want)
+			}
+			if got := newSelector(tc.d).probeAndRank(r.samples, ldv, nonce, tc.toPlace); !reflect.DeepEqual(got, want) {
+				t.Fatalf("probeAndRank %v, reference %v", got, want)
+			}
+
+			var logs [2]roundLog
+			for i, ref := range []bool{false, true} {
+				pr := MustNew(KDChoice, Params{N: len(r.loads), K: tc.toPlace, D: tc.d, ReferenceSelect: ref}, xrand.New(3))
+				pr.SetObserver(&logs[i])
+				pr.setLoads(r.loads)
+				copy(pr.samples, r.samples)
+				pr.roundKDFromSamples(tc.toPlace)
+			}
+			if !reflect.DeepEqual(logs[0], logs[1]) {
+				t.Fatalf("fast kernel delivered %v heights %v, ReferenceSelect %v heights %v",
+					logs[0].placed, logs[0].heights, logs[1].placed, logs[1].heights)
+			}
+		})
+	}
+
+	t.Run("tie-prefix", func(t *testing.T) {
+		const tie = 0x9e3779b97f4a7c15
+		for _, d := range []int{64, 65, 128, 129} {
+			idx := newSelector(d).idxMask
+			dropped := idx<<flatHeightBits | (1<<flatHeightBits - 1) // the tie bits a key drops
+			for _, tc := range []struct {
+				other    uint64
+				distinct bool
+			}{{tie ^ dropped, false}, {tie ^ (dropped + 1), true}} {
+				key := func(h int, tie uint64, i int) uint64 { return flatKey(h, tie)&^idx | uint64(i) }
+				top := [streamMaxPlace + 1]uint64{
+					key(0, mix64(1), 5),
+					key(2, tie, 3),
+					key(2, tc.other, d-1),
+					key(4, mix64(2), 0),
+					key(7, mix64(3), 9),
+				}
+				sort.Slice(top[:], func(i, j int) bool { return top[i] < top[j] })
+				if got := streamExact(&top, streamMaxPlace, idx); got != tc.distinct {
+					t.Fatalf("d=%d, ties %#x and %#x: streamExact = %v, want %v", d, uint64(tie), tc.other, got, tc.distinct)
+				}
 			}
 		}
 	})

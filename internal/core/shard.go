@@ -10,23 +10,29 @@ package core
 //
 // Each superstep runs three phases:
 //
-//  1. draw (serial): the block's randomness is pre-drawn through the exact
-//     serial sequence — xrand.FillRounds for the fixed-width prologues,
-//     FillIntn for SingleChoice, nonce-then-FillIntn for StaleBatch — so
-//     the word stream is identical to the serial process for any shard
-//     count and any block size. Randomness NEVER depends on P.
-//  2. gather + decide (parallel, ONE pool dispatch): the window's rounds
-//     (for StaleBatch, the round's balls) are split into contiguous
-//     chunks, one per worker. Each worker walks its chunk round by round:
-//     it gathers the round's loads into its own cells of the positional
-//     snapshot with the store's serial gather kernel, then runs the
-//     policy's store-free decision kernel (selector / argminLdv) over
-//     those cells while prefetching the next round's load lines, so the
-//     next gather finds them in cache. Nothing writes to the store
+//  1. draw: the block's randomness is pre-drawn through the exact serial
+//     sequence — xrand.FillRounds for the fixed-width prologues, FillIntn
+//     for SingleChoice, nonce-then-FillIntn for StaleBatch — so the word
+//     stream is identical to the serial process for any shard count and
+//     any block size. Randomness NEVER depends on P. The round-only
+//     policies (KDChoice, fixed-σ SerializedKD) draw block s+1 on worker 0
+//     during block s's decide phase, into the round engine's second block;
+//     only their first block is drawn serially. The blocks are drawn in
+//     the same stream order either way.
+//  2. gather + decide (parallel, ONE pool dispatch): workers take the
+//     window's rounds from a shared atomic cursor, roundClaim rounds per
+//     claim, so a worker that drew the next block simply claims fewer.
+//     Each worker walks its claims round by round: it gathers the round's
+//     loads into its own cells of the positional snapshot with the
+//     store's serial gather kernel, then runs the policy's store-free
+//     decision kernel (selector / argminLdv) over those cells while
+//     prefetching the next round's load lines — across claims too — so
+//     the next gather finds them in cache. Nothing writes to the store
 //     during the phase, so every snapshot cell holds the block-start load
 //     of its sample whichever worker reads it: the snapshot, and every
 //     decision made from it, is a pure function of (samples, loads),
-//     independent of P and of scheduling.
+//     independent of P and of scheduling. A StaleBatch round's balls are
+//     split into contiguous chunks, one per worker.
 //  3. apply (serial): placements commit one round per step() call, in
 //     round order, through the same store paths as the serial process.
 //
@@ -42,6 +48,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/xrand"
 )
@@ -109,7 +116,7 @@ func effectiveShards(policy Policy, p Params) int {
 // outputs); on a single-CPU host the scheduler simply interleaves the
 // workers at those points, so the pool is correct — not just fast — at any
 // GOMAXPROCS. A closed pool runs every worker's share on the caller:
-// shares are positional, so results do not change.
+// decisions are positional, so results do not change.
 type shardPool struct {
 	workers int
 	run     func(w int)
@@ -189,9 +196,10 @@ type shardEngine struct {
 	block   int     // rounds per superstep B
 	workers int
 
-	pool *shardPool
-	eng  *roundEngine // FillRounds block source (nil: single / stale mode)
-	sels []*selector  // per-worker decision lane (kd / serialized only)
+	pool  *shardPool
+	eng   *roundEngine // FillRounds block source (nil: single / stale mode)
+	ahead bool         // worker 0 draws the next block during the decide phase
+	sels  []*selector  // per-worker decision lane (kd / serialized only)
 
 	blk    *kdBlock // current block (aliases eng's block)
 	single []int    // SingleChoice mode: the block's samples (= destinations)
@@ -201,7 +209,9 @@ type shardEngine struct {
 
 	appIdx int // next round to apply
 	decEnd int // end of the decided window (appIdx == decEnd: refill)
-	winLo  int // first round of the window the current phase covers
+
+	// The next unclaimed round of the window the decide phase covers.
+	cursor atomic.Int64
 
 	// StaleBatch per-round phase inputs.
 	staleBuf     []int
@@ -241,6 +251,11 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int) *shar
 		se.ldv = make([]int, se.block*se.d)
 		switch policy {
 		case KDChoice, SerializedKD:
+			// Only the round-only policies draw ahead. A sharded per-ball
+			// policy may serve Insert from the main stream between Place
+			// calls, and drawing its next block early would move those
+			// draws behind the block's.
+			se.ahead = true
 			se.k = p.K
 			se.dests = make([]int, se.block*se.k)
 			se.sels = make([]*selector, workers)
@@ -266,7 +281,7 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int) *shar
 	se.decEnd = se.block
 	// The pool's phase body is bound once; the per-dispatch inputs travel
 	// through engine fields, published by the doorbell send.
-	run := se.decideChunk
+	run := se.decideClaims
 	if policy == StaleBatch {
 		run = se.staleDecideChunk
 	}
@@ -324,45 +339,74 @@ func (se *shardEngine) refill(pr *Process) {
 		}
 		se.appIdx = 0
 	}
-	se.winLo = se.appIdx
 	if se.policy == SingleChoice {
 		se.decEnd = se.block
 		return
 	}
+	// The window starts at appIdx: round 0 of a fresh block, or later
+	// after a Reset dropped the decisions of its tail.
+	se.cursor.Store(int64(se.appIdx))
 	se.pool.dispatch()
 	se.decEnd = se.block
 }
 
-// chunkOf returns worker w's contiguous share [lo, hi) of the n items
-// starting at base. Trailing workers get an empty chunk (lo >= hi) when n
-// is below the worker count.
-func (se *shardEngine) chunkOf(w, base, n int) (lo, hi int) {
+// chunkOf returns worker w's contiguous share [lo, hi) of n items.
+// Trailing workers get an empty chunk (lo >= hi) when n is below the
+// worker count.
+func (se *shardEngine) chunkOf(w, n int) (lo, hi int) {
 	chunk := (n + se.workers - 1) / se.workers
-	lo = base + w*chunk
-	return lo, min(lo+chunk, base+n)
+	lo = w * chunk
+	return lo, min(lo+chunk, n)
 }
 
-// decideChunk gathers and decides worker w's contiguous chunk of the
-// window's rounds, one round at a time: gather round r — its load lines
-// were requested while round r-1 was decided — then decide r while
-// prefetching round r+1's lines. Each round is decided independently (own
-// samples, own snapshot cells, own nonce; kd workers use their own
-// selector lane), so the chunk boundaries — the only P-dependent quantity
-// — cannot influence any decision.
-func (se *shardEngine) decideChunk(w int) {
-	lo, hi := se.chunkOf(w, se.winLo, se.block-se.winLo)
-	if lo >= hi {
-		return
+// roundClaim is the number of rounds a worker takes from the window's
+// cursor at a time: small enough that the workers that did not draw take
+// up the drawing worker's share, large enough that a claim's atomic add
+// and its one cross-claim prefetch are rare. Measured on bign-2shard
+// (bench/run.sh -seconds 5, four seeds, 2-vCPU Xeon VM): medians of 2.87M
+// (4), 2.98M (16) and 2.86M (64) balls/sec; 16 without the cross-claim
+// prefetch read 2.86M. The spread between claim sizes is within the
+// host's noise.
+const roundClaim = 16
+
+// claim takes the next roundClaim rounds of the window; lo >= hi once the
+// window is exhausted.
+func (se *shardEngine) claim() (lo, hi int) {
+	lo = int(se.cursor.Add(roundClaim)) - roundClaim
+	return lo, min(lo+roundClaim, se.block)
+}
+
+// decideClaims is worker w's share of the gather + decide phase. For a
+// round-only policy, worker 0 first draws the next block; only a phase that
+// starts a fresh block finds it undrawn (a Reset keeps the drawn-ahead
+// block, as it keeps the current one). Then every worker claims ranges of
+// rounds from the window's cursor until it is exhausted and decides them
+// one at a time: gather round r — its load lines were requested while the
+// round before it was decided — then decide r while prefetching the next
+// round's lines. The next range is claimed before a range's last round is
+// decided, so that round prefetches the next range's first round. Each
+// round is decided independently (own samples, own snapshot cells, own
+// nonce; kd workers use their own selector lane), so which worker claims a
+// round — the only P- and schedule-dependent quantity — cannot influence
+// any decision.
+func (se *shardEngine) decideClaims(w int) {
+	if w == 0 && se.ahead {
+		se.eng.drawAhead()
 	}
 	d := se.d
 	base, bits := se.kern.rawView()
-	for r := lo; r < hi; r++ {
+	r, end := se.claim()
+	for r < end {
+		next := r + 1
+		if next == end {
+			next, end = se.claim()
+		}
 		samples := se.blk.samples[r*d : (r+1)*d]
 		ldv := se.ldv[r*d : (r+1)*d]
 		se.kern.gather(samples, ldv)
-		var next []int
-		if base != nil && r+1 < hi {
-			next = se.blk.samples[(r+1)*d : (r+2)*d]
+		var pf []int
+		if base != nil && next < end {
+			pf = se.blk.samples[next*d : (next+1)*d]
 		}
 		nonce := se.blk.nonces[r]
 		switch se.policy {
@@ -372,19 +416,20 @@ func (se *shardEngine) decideChunk(w int) {
 			// round's selection (the toPlace smallest slots of a strict
 			// total order are a prefix of the k smallest, ranked).
 			sc := se.sels[w]
-			sc.prefetchNext(base, bits, next)
+			sc.prefetchNext(base, bits, pf)
 			sel := sc.probeAndRank(samples, ldv, nonce, se.k)
 			kb := r * se.k
 			for i := range sel {
 				se.dests[kb+i] = sel[i].bin
 			}
 		case OnePlusBeta:
-			prefetchIdx(base, next, bits)
+			prefetchIdx(base, pf, bits)
 			se.decideOnePlusBeta(r, samples, ldv, nonce)
 		default: // DChoice, CoarseDChoice
-			prefetchIdx(base, next, bits)
+			prefetchIdx(base, pf, bits)
 			se.dests[r] = argminLdv(samples, ldv, nonce, 0, se.quantum)
 		}
+		r = next
 	}
 }
 
@@ -532,7 +577,7 @@ func (se *shardEngine) staleRound(pr *Process, toPlace int) {
 // staleDecideChunk gathers and decides worker w's contiguous chunk of a
 // StaleBatch round's balls: per-ball argmins over the frozen snapshot.
 func (se *shardEngine) staleDecideChunk(w int) {
-	lo, hi := se.chunkOf(w, 0, se.staleToPlace)
+	lo, hi := se.chunkOf(w, se.staleToPlace)
 	if lo >= hi {
 		return
 	}

@@ -14,9 +14,12 @@ import (
 // This file pins the sharded superstep engine's contracts (shard.go):
 //
 //   - P-independence: for ANY shard count >= 2 (and any GOMAXPROCS) the
-//     Report is byte-identical — each worker gathers and decides its own
-//     contiguous chunk of rounds into positional snapshot cells, the store
-//     is read-only during the phase, and the chunks share no state.
+//     Report is byte-identical — each worker gathers and decides the
+//     rounds it claims into positional snapshot cells, the store is
+//     read-only during the phase, and rounds share no state. The
+//     round-only policies' drawn-ahead block is drawn in stream order, so
+//     split Place calls, Reset and Close cannot reach a result either
+//     (TestShardedDrawAheadMatchesOnePlace).
 //   - serial exactness where semantics allow: SingleChoice and StaleBatch
 //     at any block size; the load-coupled round policies at Block = 1
 //     (one-round blocks see fresh loads, and the pre-drawn stream is the
@@ -482,9 +485,9 @@ func TestShardedOnePlusBetaDistribution(t *testing.T) {
 }
 
 // TestShardedAllocationFree: every sharded path must place balls with
-// ZERO allocations per round in steady state — the superstep refill
-// (dispatch, gather, decide) included, since AllocsPerRun's 200 rounds
-// cross block boundaries for every block size below 200. This pins the
+// ZERO allocations in steady state — the superstep refill (draw,
+// dispatch, gather, decide) included: each case times a span that crosses
+// at least two block boundaries (allocsAcrossBlocks). This pins the
 // satellite fix for the 528 B/round sharded StaleBatch leak: the
 // persistent pool replaced the per-round goroutine launches.
 func TestShardedAllocationFree(t *testing.T) {
@@ -522,11 +525,29 @@ func TestShardedAllocationFree(t *testing.T) {
 			pr := MustNew(tc.policy, tc.p, xrand.New(9))
 			defer pr.Close()
 			pr.Place(4096) // warm scratch buffers across a block boundary
-			if avg := testing.AllocsPerRun(200, pr.Round); avg != 0 {
-				t.Fatalf("%v allocs per round, want 0", avg)
+			if allocs, rounds := allocsAcrossBlocks(pr); allocs != 0 {
+				t.Fatalf("%v allocs per round over %d rounds, want 0", allocs, rounds)
 			}
 		})
 	}
+}
+
+// allocsAcrossBlocks returns AllocsPerRun of Round over a span that
+// crosses at least two superstep boundaries: a whole number of blocks, at
+// least two and at least 200 rounds. A span shorter than a block can miss
+// the draw and decide phases entirely; this one decides exactly as many
+// rounds as it times, so an allocation per decided round reads 1 per
+// round.
+func allocsAcrossBlocks(pr *Process) (allocs float64, rounds int) {
+	block := 1
+	switch {
+	case pr.shard != nil && pr.shard.block > 0:
+		block = pr.shard.block // shardBlockRounds
+	case pr.eng != nil:
+		block = pr.eng.rounds // blockRounds
+	}
+	rounds = block * max(2, (200+block-1)/block)
+	return testing.AllocsPerRun(rounds, pr.Round), rounds
 }
 
 // TestShardedGOMAXPROCSInvariance: the engine must produce the same
@@ -545,4 +566,152 @@ func TestShardedGOMAXPROCSInvariance(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	stateEqual(t, "gomaxprocs-1-vs-4", a, b)
+}
+
+// TestShardedDrawAheadMatchesOnePlace: the round-only policies draw the next
+// block on worker 0 while the window is decided, and every worker claims
+// rounds from a shared cursor. Neither may reach a result: for kd and
+// kd-serialized at P = 2, 3 and 8, Place(m) split into odd-sized calls, a
+// Reset while a drawn-ahead block is pending, and a Close between calls
+// each end in the state of one Place(m) (of the same Reset sequence) and
+// of blockOracle.
+func TestShardedDrawAheadMatchesOnePlace(t *testing.T) {
+	const seed, k = 1618, 3
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		p      Params
+	}{
+		{"kd", KDChoice, Params{N: 61, K: k, D: 9}},
+		{"kd-serialized", SerializedKD, Params{N: 61, K: k, D: 9, Sigma: reversed(k)}},
+	} {
+		for _, block := range []int{7, 64} {
+			for _, shards := range []int{2, 3, 8} {
+				name := fmt.Sprintf("%s/block=%d/shards=%d", tc.name, block, shards)
+				p := tc.p
+				p.Shards = shards
+				p.Block = block
+				oracle := func() *blockOracle {
+					return &blockOracle{policy: tc.policy, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
+				}
+				matchOracle := func(stage string, pr *Process, o *blockOracle) {
+					t.Helper()
+					loads := pr.Loads()
+					for b, want := range o.loads {
+						if loads[b] != want {
+							t.Fatalf("%s/%s: bin %d load %d, oracle %d", name, stage, b, loads[b], want)
+						}
+					}
+				}
+
+				// Odd-sized calls: 1, 3, 5, ... rounds each, then the rest
+				// (a partial final round included).
+				m := 3*k*block + 2
+				one := MustNew(tc.policy, p, xrand.New(seed))
+				one.Place(m)
+				split := MustNew(tc.policy, p, xrand.New(seed))
+				left := m
+				for rounds := 1; left > 0; rounds += 2 {
+					c := min(rounds*k, left)
+					split.Place(c)
+					left -= c
+				}
+				stateEqual(t, name+"/split", one, split)
+				o := oracle()
+				o.place(m)
+				matchOracle("split", split, o)
+				split.Close()
+
+				// Reset with the next block drawn ahead and the current one
+				// half applied: the rest of the block is re-decided against
+				// empty bins, and the drawn-ahead block is used next.
+				before := 2*k*block + k*(block/2)
+				reset := MustNew(tc.policy, p, xrand.New(seed))
+				reset.Place(before)
+				if !reset.shard.eng.drawn {
+					t.Fatalf("%s: no drawn-ahead block pending at the Reset", name)
+				}
+				reset.Reset()
+				reset.Place(m)
+				twin := MustNew(tc.policy, p, xrand.New(seed))
+				twin.Place(before)
+				twin.Reset()
+				for left := m; left > 0; left -= 5 * k {
+					twin.Place(min(5*k, left))
+				}
+				stateEqual(t, name+"/reset", reset, twin)
+				o = oracle()
+				o.place(before)
+				o.reset()
+				o.place(m)
+				matchOracle("reset", reset, o)
+				reset.Close()
+				twin.Close()
+
+				// Close between calls: the rest runs every share on the
+				// caller, worker 0's draw included.
+				closed := MustNew(tc.policy, p, xrand.New(seed))
+				closed.Place(before)
+				closed.Close()
+				closed.Place(m - before)
+				stateEqual(t, name+"/close", one, closed)
+				one.Close()
+			}
+		}
+	}
+}
+
+// TestShardedPerBallServeKeepsStream pins that the sharded per-ball
+// policies do not draw ahead. Insert and Delete between Place calls draw
+// from the main stream right after the current block, so drawing the next
+// block early would move those draws and every decision after them. The
+// digests were recorded before the round-only policies began to draw
+// ahead; each hashes the final loads, the counters and the stream's next
+// word.
+func TestShardedPerBallServeKeepsStream(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		p      Params
+		want   uint64
+	}{
+		{"dchoice", DChoice, Params{N: 96, D: 3, Shards: 2, Block: 7}, 0xdf704eb8a2418d5a},
+		{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.7, Shards: 3, Block: 7}, 0xe966ca5a7f4cb470},
+	} {
+		pr := MustNew(tc.policy, tc.p, xrand.New(4242))
+		pr.Place(100) // 14 blocks and 2 rounds: the 15th block is drawn and decided
+		live := make([]Ball, 0, 40)
+		for i := 0; i < 40; i++ {
+			b, err := pr.Insert()
+			if err != nil {
+				t.Fatalf("%s: Insert: %v", tc.name, err)
+			}
+			live = append(live, b)
+		}
+		for _, b := range live[:15] {
+			if err := pr.Delete(b); err != nil {
+				t.Fatalf("%s: Delete: %v", tc.name, err)
+			}
+		}
+		pr.Place(30)
+		if got := stateDigest(pr); got != tc.want {
+			t.Errorf("%s: state digest %#x, want %#x", tc.name, got, tc.want)
+		}
+		pr.Close()
+	}
+}
+
+// stateDigest hashes a process's loads, its ball, message and round
+// counters and the next word of its random stream (FNV-1a over words).
+func stateDigest(pr *Process) uint64 {
+	d := uint64(14695981039346656037)
+	add := func(v uint64) { d = (d ^ v) * 1099511628211 }
+	for _, v := range pr.Loads() {
+		add(uint64(v))
+	}
+	add(uint64(pr.Balls()))
+	add(uint64(pr.Messages()))
+	add(uint64(pr.Rounds()))
+	add(pr.rng.Uint64())
+	return d
 }

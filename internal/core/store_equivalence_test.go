@@ -463,8 +463,8 @@ func TestRoundAllocationFreeKernels(t *testing.T) {
 			pr := MustNew(KDChoice, tc.p, xrand.New(9))
 			defer pr.Close()
 			pr.Place(4096) // warm the scratch buffers and superstep blocks
-			if avg := testing.AllocsPerRun(200, pr.Round); avg != 0 {
-				t.Fatalf("%v allocs per round, want 0", avg)
+			if allocs, rounds := allocsAcrossBlocks(pr); allocs != 0 {
+				t.Fatalf("%v allocs per round over %d rounds, want 0", allocs, rounds)
 			}
 		})
 	}

@@ -362,13 +362,14 @@ type Config struct {
 	// most 8) when Store is StoreSketch; 0 applies the default (2).
 	SketchDepth int
 	// Shards engages the sharded superstep engine with this many workers:
-	// each block of rounds is split into contiguous per-worker chunks that
-	// are gathered and decided in one parallel phase against the
-	// block-start loads (all randomness pre-drawn serially, so the stream
-	// never depends on the worker count), and placements apply serially in
-	// round order. Results are bit-identical
-	// across ANY shard count >= 2. Relative to serial: StaleBatch and
-	// SingleChoice are bit-identical always; KDChoice, fixed-σ
+	// the workers claim a block's rounds from a shared cursor, a few at a
+	// time, and gather and decide them in one parallel phase against the
+	// block-start loads, and placements apply serially in round order. All
+	// randomness is pre-drawn in the serial stream order, so the stream
+	// never depends on the worker count; kd and fixed-σ kd-serialized draw
+	// the next block on one worker while the others decide. Results are
+	// bit-identical across ANY shard count >= 2. Relative to serial:
+	// StaleBatch and SingleChoice are bit-identical always; KDChoice, fixed-σ
 	// Serialized, DChoice, and CoarseDChoice are bit-identical at
 	// Block = 1 and otherwise see each round's loads as of its block
 	// start (the staleness horizon is exactly Block rounds); OnePlusBeta

@@ -4,7 +4,9 @@
 #   scripts/ci.sh          format check, vet, kdlint, the bench module's
 #                          vet/test/kdlint, build, arm64/386/darwin
 #                          cross-builds, full tests, a
-#                          tree-wide -race pass, parser fuzz smokes, the
+#                          tree-wide -race pass, the sharded engine's
+#                          suites at GOMAXPROCS 1, 2 (-race, five
+#                          times) and 4, parser fuzz smokes, the
 #                          hot-path escape gate, quick-mode smoke runs of
 #                          every bench grid and four ablations (exercising
 #                          every store and the superstep engine end to
@@ -69,11 +71,15 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> sharded engine smoke: GOMAXPROCS 1 and 4 (bit-identity is host-independent)"
+echo "==> sharded engine smoke: GOMAXPROCS 1, 2 and 4 (bit-identity is host-independent)"
 # The sharded superstep engine must produce identical results whether its
 # workers multiplex one core or spread over several; the -race pass above
 # already runs at the host's default, so this leg pins both extremes.
+# Which worker claims which rounds, and whether worker 0 finishes drawing
+# the next block before the others run dry, depends on scheduling: the
+# repeated GOMAXPROCS=2 -race run shakes those interleavings.
 GOMAXPROCS=1 go test -run 'TestSharded|TestStaleBatch|TestShardsPublicSurface' ./internal/core/ .
+GOMAXPROCS=2 go test -race -count=5 -run 'TestSharded' ./internal/core/
 GOMAXPROCS=4 go test -race -run 'TestSharded|TestStaleBatch|TestShardsPublicSurface' ./internal/core/ .
 
 echo "==> fuzz smoke: spec parsers (10s per target)"
