@@ -18,9 +18,13 @@ import (
 //  2. The application substrates (cluster, netsim, storage) are reachable
 //     only from the root package and internal/experiments — no other
 //     internal package, command, or example may couple to them.
+//  3. The count-min sketch (internal/sketch) is reachable only from
+//     internal/loadvec: its counter layout and hash recipe stay behind the
+//     sketch store, and every other package reads loads through
+//     loadvec.Store.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "enforce the import DAG: cmd/examples on the public API only; substrates reachable only from root and internal/experiments",
+	Doc:  "enforce the import DAG: cmd/examples on the public API only; substrates reachable only from root and internal/experiments; the sketch only from internal/loadvec",
 	Run:  runLayering,
 }
 
@@ -54,5 +58,10 @@ func checkImport(pass *Pass, imp *ast.ImportSpec, path string) {
 	// package's Study surface and the experiments evaluation suite.
 	if substrates[path] && pass.Path != modulePath && pass.Path != modulePath+"/internal/experiments" {
 		pass.Reportf(imp.Pos(), "%s imports application substrate %s; substrates are reachable only from the root package and internal/experiments", pass.Path, path)
+	}
+
+	// Rule 3: the count-min layout is the sketch store's business.
+	if path == modulePath+"/internal/sketch" && pass.Path != modulePath+"/internal/loadvec" {
+		pass.Reportf(imp.Pos(), "%s imports %s; the count-min sketch is reachable only from internal/loadvec (read loads through loadvec.Store)", pass.Path, path)
 	}
 }

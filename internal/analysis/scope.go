@@ -29,7 +29,7 @@ var simPackages = map[string]bool{
 	modulePath + "/internal/netsim":   true,
 	modulePath + "/internal/storage":  true,
 	modulePath + "/internal/eventsim": true, // event-driven engine under the substrates
-	modulePath + "/internal/sketch":   true, // count-min state read by the sketch kernel
+	modulePath + "/internal/sketch":   true, // count-min state behind loadvec's sketch store
 }
 
 // inSimScope reports whether the package at path carries the determinism

@@ -100,7 +100,7 @@ func TestNibbleEscapeUnderProcess(t *testing.T) {
 	ref.Place(m)
 	got.Place(m)
 	stateEqual(t, "nibble-escape", ref, got)
-	if got.MaxLoad() <= loadvec.NibbleEscape {
+	if got.MaxLoad() <= 15 { // a 4-bit cell escapes at load 15
 		t.Fatalf("test did not cross the nibble escape threshold (max %d)", got.MaxLoad())
 	}
 }

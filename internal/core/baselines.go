@@ -1,38 +1,11 @@
 package core
 
-// This file implements the classical baseline processes the paper positions
-// (k,d)-choice against: single choice, d-choice (Azar et al.), the (1+β)
-// process (Peres et al.), Vöcking's Always-Go-Left, and the SAx0 discard
-// process from the paper's own lower-bound analysis (Definition 3).
-
-// ballSingle places one ball into a bin chosen uniformly at random.
-func (pr *Process) ballSingle() {
-	b := pr.rng.Intn(pr.n)
-	h := pr.place(b)
-	pr.messages++
-	if pr.obs != nil {
-		pr.notify([]int{b}, []int{b}, []int{h})
-	}
-}
-
-// ballDChoice places one ball into the least loaded of d uniform samples
-// (with replacement), ties broken uniformly at random among the DISTINCT
-// sampled bins. This is greedy[d] of Azar, Broder, Karlin and Upfal, and is
-// distributionally identical to (k,d)-choice with k = 1; it is implemented
-// independently so the two can cross-validate each other.
-//
-// Tie-breaking uses a per-round keyed hash of the bin id, which gives every
-// distinct bin exactly one uniform lottery ticket even when it is sampled
-// several times, in O(d) per ball.
-func (pr *Process) ballDChoice() {
-	nonce := pr.roundPrologue()
-	best := pr.kern.staleDecide(nonce, 0, pr.samples)
-	h := pr.place(best)
-	pr.messages += int64(pr.p.D)
-	if pr.obs != nil {
-		pr.notify(pr.samples, []int{best}, []int{h})
-	}
-}
+// This file implements two of the baseline processes the paper positions
+// (k,d)-choice against: Vöcking's Always-Go-Left and the SAx0 discard
+// process from the paper's own lower-bound analysis (Definition 3). Single
+// choice, d-choice (Azar et al.) and the (1+β) process (Peres et al.) place
+// one ball per round through the serving layer's decide() (online.go), so
+// Place and an insert-only stream share one decision.
 
 // mix64 is the splitmix64 finalizer: a fast bijective mixer used to derive
 // per-(round, bin) tie-break keys.
@@ -42,28 +15,6 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// ballOnePlusBeta places one ball following the (1+β)-choice process: with
-// probability β the ball goes to the lesser loaded of two uniform samples,
-// otherwise to a single uniform sample.
-func (pr *Process) ballOnePlusBeta() {
-	if pr.rng.Bernoulli(pr.p.Beta) {
-		a := pr.rng.Intn(pr.n)
-		b := pr.rng.Intn(pr.n)
-		pr.messages += 2
-		best := a
-		la, lb := pr.store.Load(a), pr.store.Load(b)
-		if lb < la || (lb == la && pr.rng.Bool()) {
-			best = b
-		}
-		h := pr.place(best)
-		if pr.obs != nil {
-			pr.notify([]int{a, b}, []int{best}, []int{h})
-		}
-		return
-	}
-	pr.ballSingle()
 }
 
 // ballAlwaysGoLeft places one ball following Vöcking's asymmetric scheme:

@@ -36,23 +36,21 @@
 // (Params.Store): the dense []int reference, the 2-bytes/bin compact store
 // and the histogram-indexed store all produce bit-identical results for
 // equal seeds, so production-scale runs (10⁷–10⁸ bins) can pick the memory
-// layout without changing a single result. The store-touching inner loops
-// are specialized per concrete store type through the generic kernels in
-// kernel.go (one dynamic dispatch per round instead of one per bin
-// access); fixed-prologue round policies batch their randomness into
-// supersteps of Params.Block rounds (kernel and engine both bit-identical
-// to the interface/per-round reference paths). Params.Shards engages the
-// sharded superstep engine (shard.go): each superstep's randomness is
-// pre-drawn in the serial stream order, the workers of a persistent pool
-// claim the block's rounds from a shared cursor, each gathering its rounds'
-// loads from the unchanging store and deciding them against that frozen
-// snapshot, and placements apply serially in round order. Sharded results
-// are bit-identical for ANY worker count (snapshot cells are positional,
-// not scheduling-dependent); relative
-// to the serial process they are
-// bit-identical wherever the policy's semantics allow (StaleBatch and
-// SingleChoice always; the load-coupled round policies at Block = 1) and
-// diverge only by bounded within-block staleness otherwise.
+// layout without changing a single result. A round reads the store once,
+// gathering its samples' loads with one Store.Gather call, and decides on
+// those loads with store-free code shared by every engine (kernel.go);
+// fixed-prologue round policies batch their randomness into supersteps of
+// Params.Block rounds (bit-identical to drawing per round). Params.Shards
+// engages the sharded superstep engine (shard.go): each superstep's
+// randomness is pre-drawn in the serial stream order, the workers of a
+// persistent pool claim the block's rounds from a shared cursor, each
+// gathering its rounds' loads from the unchanging store and deciding them
+// against that frozen snapshot, and placements apply serially in round
+// order. Sharded results are bit-identical for ANY worker count (snapshot
+// cells are positional, not scheduling-dependent); relative to the serial
+// process they are bit-identical wherever the policy's semantics allow
+// (StaleBatch and SingleChoice always; the load-coupled round policies at
+// Block = 1) and diverge only by bounded within-block staleness otherwise.
 package core
 
 import (
@@ -60,6 +58,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/loadvec"
@@ -250,10 +249,10 @@ type Params struct {
 	// bit-identical always; KDChoice, fixed-σ SerializedKD, DChoice, and
 	// CoarseDChoice are bit-identical at Block = 1 and otherwise see each
 	// round's loads as of its block start (bounded within-block
-	// staleness); OnePlusBeta shards under its own fixed-width prologue
-	// and matches the serial law only in distribution. Policies with
-	// data-dependent prologues (AdaptiveKD, DynamicKD, random-σ
-	// SerializedKD, AlwaysGoLeft, SAx0) reject Shards > 1.
+	// staleness); OnePlusBeta shards under its own two-probe prologue
+	// (D <= 2 only) and matches the serial law only in distribution.
+	// Policies with data-dependent prologues (AdaptiveKD, DynamicKD,
+	// random-σ SerializedKD, AlwaysGoLeft, SAx0) reject Shards > 1.
 	//
 	// 0 = auto: GOMAXPROCS workers for StaleBatch — whose sharding is
 	// exact at any count — and serial for every other policy, so that an
@@ -307,11 +306,6 @@ type Process struct {
 	rng    *xrand.Rand
 	eng    *roundEngine // superstep engine (fixed-prologue policies)
 
-	// kern is the store-specialized kernel the round loops dispatch
-	// through: one dynamic call per round, with every bin access inside
-	// devirtualized to the concrete store type (kernel.go).
-	kern kernelOps
-
 	store     loadvec.Store
 	n         int
 	balls     int
@@ -336,6 +330,11 @@ type Process struct {
 	// engine gives every worker its own selector instead.
 	selsc   *selector
 	binsBuf []int // receiving-bin scratch for batch placement
+
+	// pfBase and pfBits are the prefetch view of the store's load array
+	// (prefetchView): a nil pfBase turns the next-round prefetch off.
+	pfBase unsafe.Pointer
+	pfBits uint
 
 	// shard is the sharded superstep engine (shard.go), non-nil when the
 	// effective shard count is >= 2: the decision phase of every
@@ -430,8 +429,8 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 		rng:    rng,
 		store:  store,
 		n:      p.N,
-		kern:   newKernel(store),
 	}
+	pr.pfBase, pr.pfBits = prefetchView(store)
 	if faultsActive(p) {
 		// The injector's streams are split off the root stream WITHOUT
 		// advancing it.
@@ -453,7 +452,7 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 		// Sharded superstep engine: randomness stays serially pre-drawn (a
 		// round engine for the fixed-d policies, pr.rng for the rest) and
 		// the decision phase fans out over a persistent worker pool.
-		pr.shard = newShardEngine(policy, p, rng, shards)
+		pr.shard = newShardEngine(policy, p, rng, shards, store)
 	} else if blockEligible(policy, p) {
 		// Fixed round prologue: pre-draw whole supersteps of rounds from
 		// the shared pr.rng.
@@ -583,6 +582,11 @@ func Validate(policy Policy, p Params) error {
 	if p.Shards > 1 {
 		if !shardEligible(policy, p) {
 			return fmt.Errorf("core: Shards > 1 requires a fixed-prologue policy (kd, fixed-σ kd-serialized, dchoice, dchoice-coarse, single, oneplusbeta, stale-batch); %v rounds cannot be pre-drawn", policy)
+		}
+		if policy == OnePlusBeta && p.D > 2 {
+			// The sharded prologue draws two probes per ball, which matches
+			// neither the serial D-probe law nor the classical two-probe one.
+			return fmt.Errorf("core: Shards = %d with oneplusbeta D = %d: the sharded (1+β) engine probes two bins, so Shards > 1 requires D <= 2", p.Shards, p.D)
 		}
 		if p.VecDims > 0 {
 			return fmt.Errorf("core: Shards > 1 is a round-mode knob; vector-load mode places per ball and cannot shard")
@@ -907,21 +911,28 @@ func (pr *Process) step(toPlace int) {
 		pr.roundAdaptive(toPlace)
 	case StaleBatch:
 		pr.roundStaleBatch(toPlace)
-	case DChoice:
-		pr.ballDChoice()
-	case SingleChoice:
-		pr.ballSingle()
-	case OnePlusBeta:
-		pr.ballOnePlusBeta()
 	case AlwaysGoLeft:
 		pr.ballAlwaysGoLeft()
 	case SAx0:
 		pr.ballSAx0()
-	case ThresholdChoice:
-		pr.ballThreshold()
-	case CoarseDChoice:
-		pr.ballCoarse()
+	default: // the per-ball serving family (onlineEligible)
+		pr.ballDecide()
 	}
+}
+
+// ballDecide places one ball of a per-ball policy (single, dchoice,
+// oneplusbeta, threshold, dchoice-coarse) by the same decide() an Insert
+// makes, which is what keeps an insert-only stream bit-identical to Place;
+// under a fault plan decide() runs the degraded decision.
+func (pr *Process) ballDecide() {
+	bin, probes := pr.decide()
+	h := pr.place(bin)
+	pr.messages += int64(probes)
+	placed, heights := pr.beginObs(1)
+	if placed != nil {
+		placed[0], heights[0] = bin, h
+	}
+	pr.notify(pr.obsSamples(), placed, heights)
 }
 
 // place adds one ball to bin b and returns its height (the bin's load after

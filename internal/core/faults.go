@@ -48,15 +48,9 @@ func (pr *Process) stepFaulty(toPlace int) {
 	case KDChoice, SerializedKD:
 		pr.faultyRoundKD(toPlace)
 	default:
-		// Per-ball policies place one ball per round.
-		bin, probes := pr.decideFaulty()
-		h := pr.place(bin)
-		pr.messages += int64(probes)
-		placed, heights := pr.beginObs(1)
-		if placed != nil {
-			placed[0], heights[0] = bin, h
-		}
-		pr.notify(pr.obsSamples(), placed, heights)
+		// Per-ball policies place one ball per round; decide() runs
+		// decideFaulty under the plan.
+		pr.ballDecide()
 	}
 }
 
@@ -302,10 +296,10 @@ func (pr *Process) evictBin(bin int) {
 		}
 		pr.flt.Counters.Evictions++
 		w := int(pr.ballWt[idx])
-		pr.kern.subW(bin, w)
+		pr.store.Sub(bin, w)
 		nb, probes := pr.decideFaulty()
 		pr.messages += int64(probes)
-		pr.kern.addW(nb, w)
+		pr.store.AddN(nb, w)
 		pr.ballBin[idx] = int32(nb)
 		pr.flt.Counters.Replacements++
 	}

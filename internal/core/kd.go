@@ -35,9 +35,9 @@ func (pr *Process) peekNext() []int {
 // between bins broken uniformly at random. Because same-bin slot heights
 // are consecutive and distinct, the surviving slots of any bin always form
 // a prefix of its slots, which is exactly the rule "a bin sampled m times
-// receives at most m balls". Slot selection is delegated to the
-// store-specialized counting kernel (kernel.go/select.go; reference sort
-// kernel behind Params.ReferenceSelect).
+// receives at most m balls". Slot selection is delegated to the fast
+// kernel (one Store.Gather, then the store-free ranking of select.go;
+// reference sort kernel behind Params.ReferenceSelect).
 func (pr *Process) roundKD(toPlace int) {
 	nonce := pr.roundPrologue()
 	pr.placeSelected(pr.rankSelectWith(nonce, toPlace))
@@ -50,10 +50,9 @@ func (pr *Process) roundKDFromSamples(toPlace int) {
 	pr.placeSelected(pr.rankSelect(toPlace))
 }
 
-// placeSelected commits the round's ranked slots through the specialized
-// kernel and accounts the round.
+// placeSelected commits the round's ranked slots and accounts the round.
 func (pr *Process) placeSelected(sel []slot) {
-	placed, heights := pr.kern.placeSlots(pr, sel)
+	placed, heights := pr.placeSlots(sel)
 	pr.messages += int64(pr.p.D)
 	pr.notify(pr.samples, placed, heights)
 }

@@ -29,6 +29,11 @@ package core
 //     policy is bit-identical to DChoice (pinned in tests); the prologue
 //     is the fixed FillIntn-then-nonce sequence, so CoarseDChoice rides
 //     the superstep engine like DChoice.
+//
+// Both decide inside the serving layer's decide() (online.go), which Place
+// and Insert share: ThresholdChoice through decideThreshold below,
+// CoarseDChoice through the shared argmin over the gathered loads
+// (argminLdv in kernel.go, at q = Quantum).
 
 // defaultQuantum is the CoarseDChoice bucket width when Params.Quantum is
 // left zero: coarse enough that a defensible sketch geometry (inflation of
@@ -45,9 +50,8 @@ func (pr *Process) quantum() int {
 }
 
 // decideThreshold runs one ThresholdChoice decision and returns the chosen
-// bin plus the number of probes issued. Shared verbatim by the one-shot
-// round (ballThreshold) and the online decide path, so an insert-only
-// stream is bit-identical to Place. Probed bins are recorded in
+// bin plus the number of probes issued (decide's ThresholdChoice case,
+// behind both Place and Insert). Probed bins are recorded in
 // pr.obsPairBuf only when an observer is installed (the hot path stays
 // allocation-free).
 func (pr *Process) decideThreshold() (bin, probes int) {
@@ -59,43 +63,9 @@ func (pr *Process) decideThreshold() (bin, probes int) {
 		if pr.obs != nil {
 			pr.obsPairBuf = append(pr.obsPairBuf, b)
 		}
-		if pr.kern.loadAt(b) < t {
+		if pr.store.Load(b) < t {
 			return b, i
 		}
 	}
 	return b, d
-}
-
-// ballThreshold places one ball via the sequential accept/reject scan.
-func (pr *Process) ballThreshold() {
-	pr.obsPairBuf = pr.obsPairBuf[:0]
-	bin, probes := pr.decideThreshold()
-	h := pr.place(bin)
-	pr.messages += int64(probes)
-	if pr.obs != nil {
-		pr.notify(pr.obsPairBuf, []int{bin}, []int{h})
-	}
-}
-
-// coarseBest returns the sample whose QUANTIZED load is minimal, ties
-// broken by the same keyed hash as ballDChoice. The load gather runs
-// through the devirtualized kernel; the bucket scan is the shared
-// store-free argmin (kernel.go), which is also what the sharded decide
-// phase runs — so serial and sharded CoarseDChoice cannot drift.
-func (pr *Process) coarseBest(nonce uint64) int {
-	pr.kern.gather(pr.samples, pr.ldv)
-	return argminLdv(pr.samples, pr.ldv[:len(pr.samples)], nonce, 0, pr.quantum())
-}
-
-// ballCoarse places one ball via the quantized d-choice argmin. The
-// prologue and accounting mirror ballDChoice exactly, which is what makes
-// the Quantum = 1 bit-identity to DChoice hold.
-func (pr *Process) ballCoarse() {
-	nonce := pr.roundPrologue()
-	best := pr.coarseBest(nonce)
-	h := pr.place(best)
-	pr.messages += int64(pr.p.D)
-	if pr.obs != nil {
-		pr.notify(pr.samples, []int{best}, []int{h})
-	}
 }

@@ -8,15 +8,16 @@ package core
 // β = 0 is single choice, β = 1 with D = d probes is d-choice, anything
 // between interpolates — plus the limited-memory pair ThresholdChoice and
 // CoarseDChoice of limited.go), drawing from the same deterministic stream
-// discipline as the one-shot path: an insert stream with unit weights and
-// no deletes is bit-identical to Place on the same seed.
+// discipline as the one-shot path: Place runs one decide() per ball too
+// (Process.ballDecide), so an insert stream with unit weights and no
+// deletes is bit-identical to Place on the same seed.
 //
 // Deletion-aware accounting: every mutation goes through the store's
-// Sub/AddN bookkeeping (via the devirtualized kernels), so MaxLoad, Gap and
-// ν_y stay correct as bins drain — the property Narang & Dutta's
-// deletion-surviving gap bounds are about. Weighted balls add w load units
-// atomically; vector-load mode (Params.VecDims) keeps a []float64 load per
-// bin and decides on the aggregated norm instead of the scalar store.
+// Sub/AddN bookkeeping, so MaxLoad, Gap and ν_y stay correct as bins
+// drain — the property Narang & Dutta's deletion-surviving gap bounds are
+// about. Weighted balls add w load units atomically; vector-load mode
+// (Params.VecDims) keeps a []float64 load per bin and decides on the
+// aggregated norm instead of the scalar store.
 
 import "fmt"
 
@@ -159,15 +160,19 @@ func (pr *Process) resolve(b Ball) (int32, error) {
 
 // decide runs one placement decision of the per-ball policy family and
 // returns the chosen bin plus the number of bins probed. In scalar mode the
-// loads are read through the devirtualized kernel; in vector mode the
+// sampled loads are gathered from the store in one call; in vector mode the
 // aggregated loads are compared with the same keyed-hash tie discipline.
+// Under a fault plan it runs the degraded decision (decideFaulty).
 //
-// The random draw sequence is exactly that of the one-shot per-ball rounds
-// (ballSingle, ballDChoice, ballOnePlusBeta), so an insert-only stream
-// reproduces Place bit for bit. OnePlusBeta generalizes to D > 2: the β
-// coin then chooses between one uniform probe and a D-probe argmin scan
-// (D <= 2, the classical process of Peres et al., keeps the exact two-probe
-// draws).
+// It is the one decision behind both Insert and the one-shot per-ball
+// rounds (ballDecide), so an insert-only stream reproduces Place bit for
+// bit. DChoice is greedy[d] of Azar, Broder, Karlin and Upfal,
+// distributionally identical to (k,d)-choice with k = 1 but implemented
+// independently so the two cross-validate. OnePlusBeta sends the ball,
+// with probability β, to the lesser loaded of two uniform probes, and
+// otherwise to one uniform probe; for D > 2 the β coin chooses between one
+// uniform probe and a D-probe argmin scan (D <= 2, the classical process
+// of Peres et al., keeps the exact two-probe draws).
 func (pr *Process) decide() (bin, probes int) {
 	if pr.flt != nil {
 		return pr.decideFaulty()
@@ -178,8 +183,11 @@ func (pr *Process) decide() (bin, probes int) {
 		nonce := pr.roundPrologue()
 		return pr.argminSamples(nonce), pr.p.D
 	case CoarseDChoice:
+		// The same scan over loads quantized by Quantum (limited.go), which
+		// is also what the sharded decide phase runs; at Quantum = 1 it is
+		// DChoice's exactly.
 		nonce := pr.roundPrologue()
-		return pr.coarseBest(nonce), pr.p.D
+		return pr.gatherArgmin(nonce, 0, pr.quantum()), pr.p.D
 	case ThresholdChoice:
 		return pr.decideThreshold()
 	case OnePlusBeta:
@@ -208,9 +216,8 @@ func (pr *Process) decide() (bin, probes int) {
 }
 
 // loadOf reads one bin's decision load: the scalar store's load, or the
-// aggregated vector load widened to a comparison on float64s. Scalar mode
-// routes through the concrete store's Load (devirtualized in argmin scans;
-// this helper is only on the two-probe path).
+// aggregated vector load widened to a comparison on float64s (the
+// two-probe path only; argmin scans gather their loads in one call).
 func (pr *Process) loadOf(bin int) float64 {
 	if pr.vec != nil {
 		return pr.vec.RawAgg()[bin]
@@ -219,11 +226,11 @@ func (pr *Process) loadOf(bin int) float64 {
 }
 
 // argminSamples returns the least-loaded bin of pr.samples with the keyed
-// per-round tie hash — kern.staleDecide at ball 0 in scalar mode, the same
-// scan over the aggregated loads in vector mode.
+// per-round tie hash — argminLdv over the gathered loads at ball 0 in
+// scalar mode, the same scan over the aggregated loads in vector mode.
 func (pr *Process) argminSamples(nonce uint64) int {
 	if pr.vec == nil {
-		return pr.kern.staleDecide(nonce, 0, pr.samples)
+		return pr.gatherArgmin(nonce, 0, 1)
 	}
 	agg := pr.vec.RawAgg()
 	samples := pr.samples
@@ -306,7 +313,7 @@ func (pr *Process) InsertW(w int) (Ball, error) {
 	pr.faultTick()
 	pr.rounds++
 	bin, probes := pr.decide()
-	h := pr.kern.addW(bin, w)
+	h := pr.store.AddN(bin, w)
 	pr.balls++
 	pr.messages += int64(probes)
 	idx := pr.allocSlot()
@@ -363,7 +370,7 @@ func (pr *Process) Delete(b Ball) error {
 	if pr.vec != nil {
 		pr.vec.SubVec(bin, pr.ballVec[int(idx)*pr.p.VecDims:(int(idx)+1)*pr.p.VecDims])
 	} else {
-		pr.kern.subW(bin, w)
+		pr.store.Sub(bin, w)
 	}
 	pr.ballGen[idx]++
 	// A zero weight marks the slot dead: ballWt > 0 ⇔ live, the
@@ -429,8 +436,8 @@ func (pr *Process) Rebalance(b Ball) (bool, error) {
 		} else {
 			w := int(pr.ballWt[idx])
 			if pr.store.Load(best)+w < pr.store.Load(cur) {
-				pr.kern.subW(cur, w)
-				pr.kern.addW(best, w)
+				pr.store.Sub(cur, w)
+				pr.store.AddN(best, w)
 				moved = true
 			}
 		}

@@ -22,6 +22,7 @@ func onlineCases() []struct {
 		{"single", SingleChoice, Params{N: 64}},
 		{"dchoice", DChoice, Params{N: 64, D: 3}},
 		{"oneplusbeta", OnePlusBeta, Params{N: 64, Beta: 0.4}},
+		{"oneplusbeta-d3", OnePlusBeta, Params{N: 64, Beta: 0.4, D: 3}},
 		{"threshold", ThresholdChoice, Params{N: 64, D: 4}},
 		{"dchoice-coarse", CoarseDChoice, Params{N: 64, D: 3, Quantum: 2}},
 	}
@@ -29,8 +30,8 @@ func onlineCases() []struct {
 
 // TestInsertOnlyMatchesPlace is the serving layer's anchor property: an
 // insert-only unit-weight stream is bit-identical to Place on the same
-// seed, for every per-ball policy, every store, and the interface-kernel
-// fallback.
+// seed, for every per-ball policy (oneplusbeta at D > 2 too) and every
+// exact store.
 func TestInsertOnlyMatchesPlace(t *testing.T) {
 	stores := []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble}
 	for _, tc := range onlineCases() {
@@ -39,26 +40,17 @@ func TestInsertOnlyMatchesPlace(t *testing.T) {
 			ref := MustNew(tc.policy, tc.p, xrand.New(seed))
 			ref.Place(m)
 			for _, kind := range stores {
-				for _, iface := range []bool{false, true} {
-					p := tc.p
-					p.Store = kind
-					got := MustNew(tc.policy, p, xrand.New(seed))
-					if iface {
-						got.forceInterfaceKernel()
+				p := tc.p
+				p.Store = kind
+				got := MustNew(tc.policy, p, xrand.New(seed))
+				for i := 0; i < m; i++ {
+					if _, err := got.Insert(); err != nil {
+						t.Fatal(err)
 					}
-					for i := 0; i < m; i++ {
-						if _, err := got.Insert(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					name := kind.String()
-					if iface {
-						name += "+iface"
-					}
-					stateEqual(t, name, ref, got)
-					if got.Live() != m {
-						t.Fatalf("%s: Live = %d, want %d", name, got.Live(), m)
-					}
+				}
+				stateEqual(t, kind.String(), ref, got)
+				if got.Live() != m {
+					t.Fatalf("%s: Live = %d, want %d", kind, got.Live(), m)
 				}
 			}
 		})

@@ -14,10 +14,10 @@ import (
 //
 // Two implementations exist:
 //
-//   - the fast kernel, the default: the store-specialized gather in
-//     kernel.go reads each sample's load once through a devirtualized store
-//     access, then probeAndRank below ranks the round on one of the three
-//     paths listed next, which all return the same ranked slice.
+//   - the fast kernel, the default: one Store.Gather call reads every
+//     sample's load (kernel.go), then probeAndRank below ranks the round on
+//     one of the three paths listed next, which all return the same ranked
+//     slice.
 //   - the reference kernel (Params.ReferenceSelect): the original
 //     sort-everything path, kept as the oracle the fast kernel is tested
 //     against.
@@ -69,7 +69,7 @@ import (
 // tieKey derives the uniform tie-break key of the slot (bin, height) under
 // the round nonce. Distinct slots of one round hash distinct (bin, height)
 // pairs, so within a tied cohort (equal height, distinct bins) the keys are
-// independent uniform lottery tickets, exactly as in ballDChoice.
+// independent uniform lottery tickets, exactly as in DChoice's argmin.
 //
 //kd:hotpath
 func tieKey(nonce uint64, bin, height int) uint64 {
@@ -97,7 +97,11 @@ func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
 		}
 		return pr.slots[:toPlace]
 	}
-	return pr.kern.fastSelect(pr, nonce, toPlace)
+	pr.store.Gather(pr.samples, pr.ldv)
+	if pr.pfBase != nil {
+		pr.selsc.prefetchNext(pr.pfBase, pr.pfBits, pr.peekNext())
+	}
+	return pr.probeAndRank(nonce, toPlace)
 }
 
 // selector owns the scratch of the store-free counting selection kernel:
@@ -144,6 +148,40 @@ func newSelector(d int) *selector {
 	}
 }
 
+// groupTab is the reusable epoch-stamped grouping scratch of the counting
+// path: a slot is live iff its stamp equals the current epoch, so a
+// superstep of rounds reuses the table with one epoch increment per round
+// instead of a per-round clear pass. tab packs (bin+1) in the high 32 bits
+// and the sample multiplicity so far in the low 32.
+type groupTab struct {
+	tab   []uint64
+	stamp []uint32
+	epoch uint32
+}
+
+func newGroupTab(d int) *groupTab {
+	size := groupTableSize(d)
+	return &groupTab{
+		tab:   make([]uint64, size),
+		stamp: make([]uint32, size),
+	}
+}
+
+// nextEpoch starts a new round. On uint32 wraparound the stamps are
+// cleared so a slot stamped 4 billion rounds ago can never alias as live.
+//
+//kd:hotpath
+func (gt *groupTab) nextEpoch() uint32 {
+	gt.epoch++
+	if gt.epoch == 0 {
+		for i := range gt.stamp {
+			gt.stamp[i] = 0
+		}
+		gt.epoch = 1
+	}
+	return gt.epoch
+}
+
 // prefetchNext sets the prefetch target of the next probeAndRank call:
 // while its scan ranks the current round it requests the load lines of
 // next, 8 samples every 8 samples, so those loads are in flight during the
@@ -166,16 +204,16 @@ func (sc *selector) prefetchAt(i int) {
 
 // probeAndRank is the Process-level entry of the counting kernel, used by
 // the serial round paths: it runs the process's own selection lane over
-// pr.samples and the loads the kernel gathered into pr.ldv.
+// pr.samples and the loads gathered into pr.ldv.
 //
 //kd:hotpath
 func (pr *Process) probeAndRank(nonce uint64, toPlace int) []slot {
 	return pr.selsc.probeAndRank(pr.samples, pr.ldv[:len(pr.samples)], nonce, toPlace)
 }
 
-// probeAndRank is the store-free heart of the fast kernel, shared by every
-// kernel instantiation and every shard worker: ldv holds the load of each
-// sample (filled by the kernel's specialized gather pass). A round that
+// probeAndRank is the store-free heart of the fast kernel, shared by the
+// serial engine and every shard worker: ldv holds the load of each sample
+// (filled by the round's Store.Gather). A round that
 // streamRank (toPlace <= streamMaxPlace) or flatRank (toPlace above that,
 // d <= flatMaxD) can rank exactly returns from there. Any other round takes
 // the counting path: one scan over the samples probes the epoch-stamped

@@ -113,8 +113,8 @@ func TestFastSelectMatchesReference(t *testing.T) {
 }
 
 // TestFastSelectMatchesReferenceHeavy extends the coupling to the heavily
-// loaded case (m = 64n plus a partial final round) on every exact
-// specialized store: the small-k path (k = 3) and the paper's d = 2k
+// loaded case (m = 64n plus a partial final round) on the dense, compact
+// and hist stores: the small-k path (k = 3) and the paper's d = 2k
 // shapes, among them the benchmark's (8,16), which the flat ranker takes
 // whenever a round's samples are distinct.
 func TestFastSelectMatchesReferenceHeavy(t *testing.T) {

@@ -23,11 +23,11 @@ package core
 //     window's rounds from a shared atomic cursor, roundClaim rounds per
 //     claim, so a worker that drew the next block simply claims fewer.
 //     Each worker walks its claims round by round: it gathers the round's
-//     loads into its own cells of the positional snapshot with the
-//     store's serial gather kernel, then runs the policy's store-free
-//     decision kernel (selector / argminLdv) over those cells while
-//     prefetching the next round's load lines — across claims too — so
-//     the next gather finds them in cache. Nothing writes to the store
+//     loads into its own cells of the positional snapshot with one
+//     Store.Gather call, then runs the policy's store-free decision kernel
+//     (selector / argminLdv) over those cells while prefetching the next
+//     round's load lines — across claims too — so the next gather finds
+//     them in cache. Nothing writes to the store
 //     during the phase, so every snapshot cell holds the block-start load
 //     of its sample whichever worker reads it: the snapshot, and every
 //     decision made from it, is a pure function of (samples, loads),
@@ -43,13 +43,16 @@ package core
 // bit-identical to serial at Block = 1 and otherwise diverge only by
 // within-block staleness (their gap statistics stay within the coupling
 // bounds); OnePlusBeta recasts its data-dependent draw pattern into a
-// fixed-width prologue and matches the serial law in distribution only.
+// fixed two-probe prologue and matches the serial law in distribution only
+// (so Validate admits it at D <= 2 only).
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/loadvec"
 	"repro/internal/xrand"
 )
 
@@ -187,7 +190,7 @@ func (p *shardPool) Close() {
 // round-loop API is unchanged.
 type shardEngine struct {
 	policy  Policy
-	kern    kernelOps // refreshed from pr each superstep (test kernel seam)
+	store   loadvec.Store // the process's store: read-only during a phase
 	n       int
 	k       int     // balls per full round (1 for the per-ball policies)
 	d       int     // draw width per round (p.D, or 1 / 2, see shardDrawWidth)
@@ -195,6 +198,10 @@ type shardEngine struct {
 	beta    float64 // OnePlusBeta mixing probability
 	block   int     // rounds per superstep B
 	workers int
+
+	// The prefetch view of the store (prefetchView; nil pfBase: off).
+	pfBase unsafe.Pointer
+	pfBits uint
 
 	pool  *shardPool
 	eng   *roundEngine // FillRounds block source (nil: single / stale mode)
@@ -220,11 +227,12 @@ type shardEngine struct {
 	staleToPlace int
 }
 
-// newShardEngine builds the engine and its worker pool. The caller has
-// already validated shardEligible and workers >= 2.
-func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int) *shardEngine {
+// newShardEngine builds the engine and its worker pool over the process's
+// store. The caller has already validated shardEligible and workers >= 2.
+func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store loadvec.Store) *shardEngine {
 	se := &shardEngine{
 		policy:  policy,
+		store:   store,
 		n:       p.N,
 		k:       1,
 		d:       p.D,
@@ -277,6 +285,7 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int) *shar
 			se.quantum = 1
 		}
 	}
+	se.pfBase, se.pfBits = prefetchView(store)
 	se.appIdx = se.block
 	se.decEnd = se.block
 	// The pool's phase body is bound once; the per-dispatch inputs travel
@@ -330,7 +339,6 @@ func (se *shardEngine) step(pr *Process, toPlace int) {
 // block has been applied, then the parallel phase. SingleChoice skips the
 // phase entirely — its destination is its sample, loads never enter.
 func (se *shardEngine) refill(pr *Process) {
-	se.kern = pr.kern
 	if se.appIdx == se.block {
 		if se.eng != nil {
 			se.blk = se.eng.nextBlock()
@@ -394,7 +402,7 @@ func (se *shardEngine) decideClaims(w int) {
 		se.eng.drawAhead()
 	}
 	d := se.d
-	base, bits := se.kern.rawView()
+	base, bits := se.pfBase, se.pfBits
 	r, end := se.claim()
 	for r < end {
 		next := r + 1
@@ -403,7 +411,7 @@ func (se *shardEngine) decideClaims(w int) {
 		}
 		samples := se.blk.samples[r*d : (r+1)*d]
 		ldv := se.ldv[r*d : (r+1)*d]
-		se.kern.gather(samples, ldv)
+		se.store.Gather(samples, ldv)
 		var pf []int
 		if base != nil && next < end {
 			pf = se.blk.samples[next*d : (next+1)*d]
@@ -462,12 +470,12 @@ func (se *shardEngine) decideOnePlusBeta(r int, samples, ldv []int, nonce uint64
 
 // applyKD commits round r of a sharded (k,d)-choice block: the first
 // toPlace ranked destinations, batch-incremented when unobserved exactly
-// like the StaleBatch apply (one devirtualized BulkAdd per round).
+// like the StaleBatch apply (one BulkAdd per round).
 func (se *shardEngine) applyKD(pr *Process, r, toPlace int) {
 	dests := se.dests[r*se.k : r*se.k+toPlace]
 	placed, heights := pr.beginObs(toPlace)
 	if placed == nil {
-		pr.kern.bulkAdd(dests)
+		pr.store.BulkAdd(dests)
 		pr.balls += toPlace
 	} else {
 		for i, dst := range dests {
@@ -565,7 +573,6 @@ func (se *shardEngine) staleRound(pr *Process, toPlace int) {
 	buf := pr.shardBuf[:toPlace*perBall]
 	pr.rng.FillIntn(buf, pr.n)
 
-	se.kern = pr.kern
 	se.staleBuf = buf
 	se.staleDests = dests
 	se.staleNonce = nonce
@@ -582,7 +589,7 @@ func (se *shardEngine) staleDecideChunk(w int) {
 		return
 	}
 	perBall := se.d
-	se.kern.gather(se.staleBuf[lo*perBall:hi*perBall], se.ldv[lo*perBall:hi*perBall])
+	se.store.Gather(se.staleBuf[lo*perBall:hi*perBall], se.ldv[lo*perBall:hi*perBall])
 	for b := lo; b < hi; b++ {
 		samples := se.staleBuf[b*perBall : (b+1)*perBall]
 		ldv := se.ldv[b*perBall : (b+1)*perBall]

@@ -36,8 +36,8 @@ import (
 // even on a single-CPU host (GOMAXPROCS is forced up where needed).
 
 // shardStores is the store sweep of the bit-identity properties: all five
-// stores, so the one gather kernel per store (the loadElem stencils, the
-// nibble unpack, the sketch estimate) is pinned on every layout.
+// stores, so every store's Gather (the array index, the nibble unpack, the
+// sketch estimate) is pinned on every layout.
 var shardStores = []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble, loadvec.StoreSketch}
 
 // shardExactCases enumerates (policy, params) pairs whose sharded rounds
@@ -376,22 +376,6 @@ func (o *blockOracle) argmin(samples []int, nonce uint64, ball int) int {
 		}
 	}
 	return best
-}
-
-// TestShardedKernelSeam: forcing the interface kernel after New must
-// reroute the sharded gather too (the engine re-reads pr.kern each
-// superstep); specialized and interface sharded runs stay bit-identical.
-func TestShardedKernelSeam(t *testing.T) {
-	const seed, m = 31337, 600
-	p := Params{N: 96, K: 3, D: 8, Shards: 4, Block: 8}
-	ref := MustNew(KDChoice, p, xrand.New(seed))
-	got := MustNew(KDChoice, p, xrand.New(seed))
-	got.forceInterfaceKernel()
-	ref.Place(m)
-	got.Place(m)
-	stateEqual(t, "sharded/iface-kernel", ref, got)
-	ref.Close()
-	got.Close()
 }
 
 // meanGapOver runs r independent seeds of (policy, params) to m balls and

@@ -27,18 +27,18 @@ package core
 // the load-coupled round policies shard under the same engine with a
 // within-block staleness tradeoff instead (see shard.go).
 
-// The per-ball decision scan lives in kernel.go: kern.staleDecide for the
-// serial store-reading path, argminLdv over the gathered snapshot for the
-// sharded one — identical arithmetic, pinned by the equivalence tests.
+// The per-ball decision scan is argminLdv (kernel.go) over the ball's
+// gathered loads, serial and sharded alike: the serial round gathers each
+// ball's probes just before deciding it, the sharded one gathers a chunk
+// of balls at once, and no load changes in between either way.
 
-// roundStaleBatch places toPlace balls, each with its own perBall probes
-// judged against the stale round-start loads.
+// roundStaleBatch places toPlace balls, each with its own D probes judged
+// against the stale round-start loads.
 func (pr *Process) roundStaleBatch(toPlace int) {
 	if pr.shard != nil && toPlace > 1 {
 		pr.shard.staleRound(pr, toPlace)
 		return
 	}
-	perBall := pr.p.D
 	nonce := pr.rng.Uint64()
 	placed, heights := pr.beginObs(toPlace)
 	// Decide all destinations against stale loads first.
@@ -47,8 +47,8 @@ func (pr *Process) roundStaleBatch(toPlace int) {
 	}
 	dests := pr.cands[:toPlace]
 	for b := 0; b < toPlace; b++ {
-		pr.rng.FillIntn(pr.samples[:perBall], pr.n)
-		dests[b] = pr.kern.staleDecide(nonce, b, pr.samples[:perBall])
+		pr.rng.FillIntn(pr.samples, pr.n)
+		dests[b] = pr.gatherArgmin(nonce, b, 1)
 	}
 	pr.applyStaleDests(dests, placed, heights)
 }
@@ -59,7 +59,7 @@ func (pr *Process) roundStaleBatch(toPlace int) {
 // BulkAdd wants); observed rounds record per-ball heights.
 func (pr *Process) applyStaleDests(dests, placed, heights []int) {
 	if placed == nil {
-		pr.kern.bulkAdd(dests)
+		pr.store.BulkAdd(dests)
 		pr.balls += len(dests)
 	} else {
 		for i, dst := range dests {

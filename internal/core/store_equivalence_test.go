@@ -210,6 +210,7 @@ func TestShardsValidation(t *testing.T) {
 		{CoarseDChoice, Params{N: 8, D: 2, Shards: 3}},
 		{SingleChoice, Params{N: 8, Shards: 8}},
 		{OnePlusBeta, Params{N: 8, Beta: 0.5, Shards: 2}},
+		{OnePlusBeta, Params{N: 8, Beta: 0.5, D: 2, Shards: 2}},
 		{StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 4}},
 	} {
 		if err := Validate(tc.policy, tc.p); err != nil {
@@ -234,6 +235,13 @@ func TestShardsValidation(t *testing.T) {
 	}
 	if err := Validate(StaleBatch, Params{N: 8, K: 2, D: 2, Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
+	}
+	// The sharded (1+β) prologue probes two bins, which matches neither
+	// law at D > 2: the error must name both fields.
+	if err := Validate(OnePlusBeta, Params{N: 8, Beta: 0.5, D: 3, Shards: 2}); err == nil {
+		t.Fatal("sharded oneplusbeta with D = 3 accepted")
+	} else if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, "D = 3") {
+		t.Fatalf("sharded oneplusbeta D = 3 error does not name Shards and D: %v", err)
 	}
 	if err := Validate(KDChoice, Params{N: 8, K: 1, D: 2, Store: loadvec.StoreKind(9)}); err == nil {
 		t.Fatal("unknown store accepted")
@@ -300,29 +308,29 @@ func TestCompactStoreEscapeUnderProcess(t *testing.T) {
 	}
 }
 
-// TestSpecializedKernelMatchesInterface is the devirtualization acceptance
-// property: for every policy, every concrete store, and every superstep
-// size (auto, B=1, and a non-divisor B), the store-specialized kernels
-// produce results bit-identical to the interface-dispatch reference kernel
-// (the path custom stores take). The reference runs serially with the
-// default superstep; the variants cover the full (policy × store × block)
-// matrix, so this pins kernel specialization and superstep batching
-// against one oracle at once. Run under -race in CI.
+// TestSpecializedKernelMatchesInterface pins the round engine against a
+// plain reference for every policy, every store, and every superstep size
+// (auto, B = 1, 2, the non-divisors 3 and 5, and 64): the reference runs
+// serially, draws each round's randomness as the round runs (its round
+// engine is cleared) and never prefetches (its prefetch view is cleared),
+// so the (policy × store × block) matrix pins superstep batching and the
+// next-round prefetch against one oracle at once. Run under -race in CI.
 func TestSpecializedKernelMatchesInterface(t *testing.T) {
 	stores := []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble, loadvec.StoreSketch}
-	blocks := []int{0, 1, 3} // auto, single-round, non-divisor of the round count
+	blocks := []int{0, 1, 2, 3, 5, 64}
 	const seed, m = 90210, 331
 	for _, tc := range allPolicyCases() {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			for _, store := range stores {
-				// Reference: interface kernel, serial, default superstep.
 				rp := tc.p
 				rp.Store = store
+				rp.Shards = 1
 				if Validate(tc.policy, rp) != nil {
 					continue // e.g. SAx0 requires an exact store
 				}
 				ref := MustNew(tc.policy, rp, xrand.New(seed))
-				ref.forceInterfaceKernel()
+				ref.eng = nil
+				noPrefetch(ref)
 				ref.Place(m)
 				for _, block := range blocks {
 					p := tc.p
@@ -338,13 +346,22 @@ func TestSpecializedKernelMatchesInterface(t *testing.T) {
 	}
 }
 
-// TestPrefetchingKernelsMatchInterface: on load arrays of at least
-// prefetchMinBytes the specialized kernels prefetch the next round's load
-// lines during the selection, serial and sharded. The results must stay
-// bit-identical to the interface kernel, which never prefetches. D = 13
-// leaves a partial 8-sample prefetch group; Block 3 puts a block boundary
-// (no next round to prefetch) every third round.
-func TestPrefetchingKernelsMatchInterface(t *testing.T) {
+// noPrefetch clears the prefetch view of pr and of its shard engine, so pr
+// gathers every round without the next-round prefetch.
+func noPrefetch(pr *Process) {
+	pr.pfBase, pr.pfBits = nil, 0
+	if pr.shard != nil {
+		pr.shard.pfBase, pr.shard.pfBits = nil, 0
+	}
+}
+
+// TestPrefetchChangesNoResult: on load arrays of at least prefetchMinBytes
+// the engine prefetches the next round's load lines during the selection,
+// serial and sharded. The results must stay bit-identical to the same
+// process with its prefetch view cleared. D = 13 leaves a partial 8-sample
+// prefetch group; Block 3 puts a block boundary (no next round to
+// prefetch) every third round.
+func TestPrefetchChangesNoResult(t *testing.T) {
 	const seed, m = 4242, 3001
 	for _, st := range []struct {
 		kind loadvec.StoreKind
@@ -364,39 +381,21 @@ func TestPrefetchingKernelsMatchInterface(t *testing.T) {
 					}
 					stage := fmt.Sprintf("%v/%v/shards=%d/block=%d", st.kind, policy, shards, block)
 					ref := MustNew(policy, p, xrand.New(seed))
-					ref.forceInterfaceKernel()
+					noPrefetch(ref)
 					got := MustNew(policy, p, xrand.New(seed))
-					if base, _ := got.kern.rawView(); base == nil {
-						t.Fatalf("%s: kernel does not prefetch a %d-bin store", stage, st.n)
+					if got.pfBase == nil || (got.shard != nil && got.shard.pfBase == nil) {
+						t.Fatalf("%s: engine does not prefetch a %d-bin store", stage, st.n)
 					}
 					ref.Place(m)
 					got.Place(m)
 					if !slices.Equal(ref.Loads(), got.Loads()) || ref.Messages() != got.Messages() || ref.MaxLoad() != got.MaxLoad() {
-						t.Fatalf("%s: prefetching kernel diverged from the interface kernel", stage)
+						t.Fatalf("%s: prefetching engine diverged from the unprefetched one", stage)
 					}
 					ref.Close()
 					got.Close()
 				}
 			}
 		}
-	}
-}
-
-// TestInterfaceKernelBlockMatrix closes the loop the other way: the
-// interface kernel itself run at every block size matches the specialized
-// default — superstep batching and kernel dispatch are independent axes.
-func TestInterfaceKernelBlockMatrix(t *testing.T) {
-	const seed, m = 777, 257
-	p := Params{N: 96, K: 3, D: 11}
-	ref := MustNew(KDChoice, p, xrand.New(seed))
-	ref.Place(m)
-	for _, block := range []int{1, 2, 5, 64} {
-		pb := p
-		pb.Block = block
-		got := MustNew(KDChoice, pb, xrand.New(seed))
-		got.forceInterfaceKernel()
-		got.Place(m)
-		stateEqual(t, fmt.Sprintf("iface/block=%d", block), ref, got)
 	}
 }
 
@@ -432,7 +431,7 @@ func TestBlockValidation(t *testing.T) {
 }
 
 // TestRoundAllocationFreeKernels extends the zero-allocs-per-round pin to
-// the specialized kernels across stores and superstep sizes, including
+// the round engine across stores and superstep sizes, including
 // B=1 (a refill every round), a non-divisor B, and huge-page-sized stores.
 func TestRoundAllocationFreeKernels(t *testing.T) {
 	cases := []struct {

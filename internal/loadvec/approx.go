@@ -14,8 +14,9 @@ package loadvec
 //     NuY never under-report (collisions inflate, never deflate), so a max
 //     load read off a sketch is an upper bound on the true max. The ball
 //     counter stays exact. This is the only store that breaks the
-//     bit-identical-across-stores contract; the equivalence tests pin it
-//     against the interface kernel on the SAME store instead.
+//     bit-identical-across-stores contract; its Gather is pinned to its own
+//     Load instead (TestGatherMatchesLoad), and the count-min layout stays
+//     behind this package: nothing else imports internal/sketch.
 
 import (
 	"fmt"
@@ -26,10 +27,6 @@ import (
 // nibbleEscape marks a packed cell whose load outgrew 4 bits; the true
 // load lives in the wide side table.
 const nibbleEscape = 0xF
-
-// NibbleEscape is the sentinel nibble value marking an escaped packed bin;
-// exported for the specialized kernels' raw fast path.
-const NibbleEscape = nibbleEscape
 
 // NibbleStore packs two bins per byte; cells that reach load 15 escape to
 // a wide side table. Loads stay exact at every magnitude.
@@ -70,8 +67,8 @@ func (s *NibbleStore) setNib(bin, v int) {
 }
 
 // Load implements Store. The non-escaped fast path is small enough to
-// inline into the specialized round kernels; the wide-table lookup is
-// outlined so the map access cannot blow the inlining budget.
+// inline into callers; the wide-table lookup is outlined so the map access
+// cannot blow the inlining budget.
 //
 //kd:hotpath
 func (s *NibbleStore) Load(bin int) int {
@@ -79,6 +76,22 @@ func (s *NibbleStore) Load(bin int) int {
 		return v
 	}
 	return s.loadWide(bin)
+}
+
+// Gather implements Store: one shift+mask unpack per read, escape cells
+// deferring to the wide side table.
+//
+//kd:hotpath
+func (s *NibbleStore) Gather(bins, loads []int) {
+	packed, wide := s.packed, s.wide
+	loads = loads[:len(bins)]
+	for i, b := range bins {
+		v := int(packed[b>>1]>>((b&1)<<2)) & 0xF
+		if v == nibbleEscape {
+			v = wide[b]
+		}
+		loads[i] = v
+	}
 }
 
 // loadWide returns the load of an escaped cell from the wide side table.
@@ -221,38 +234,6 @@ func (s *NibbleStore) BulkAdd(bins []int) {
 	s.balls = balls
 }
 
-// BulkSub implements Store: one deferred max rescan for the whole batch,
-// with the same escape-cell reclaim as Sub.
-//
-//kd:hotpath
-func (s *NibbleStore) BulkSub(bins []int) {
-	touchedMax := false
-	for _, b := range bins {
-		old := s.Load(b)
-		if old == 0 {
-			panic("loadvec: Sub below zero load")
-		}
-		if old == s.max {
-			touchedMax = true
-		}
-		v := old - 1
-		if s.nib(b) == nibbleEscape {
-			if v < nibbleEscape {
-				delete(s.wide, b)
-				s.setNib(b, v)
-			} else {
-				s.wide[b] = v
-			}
-		} else {
-			s.setNib(b, v)
-		}
-	}
-	s.balls -= len(bins)
-	if touchedMax {
-		s.max = s.rescanMax()
-	}
-}
-
 // Set implements Store.
 func (s *NibbleStore) Set(bin, load int) {
 	old := s.Load(bin)
@@ -340,12 +321,6 @@ func (s *NibbleStore) BytesPerBin() float64 {
 // Escaped returns the number of bins currently in the wide side table.
 func (s *NibbleStore) Escaped() int { return len(s.wide) }
 
-// RawLoads exposes the nibble store's packed cells and wide side table for
-// the store-specialized kernels: bin b occupies the low (b even) or high
-// (b odd) nibble of packed[b/2], and a cell equal to NibbleEscape holds its
-// true load in the map. Read-only for callers.
-func (s *NibbleStore) RawLoads() ([]uint8, map[int]int) { return s.packed, s.wide }
-
 // SketchStore is the count-min approximate store: Load returns a one-sided
 // overestimate (never below the bin's true load), Balls stays exact, and
 // MaxLoad is a running upper bound on the true maximum — on Add it tracks
@@ -372,8 +347,7 @@ func NewSketch(n, width, depth int) (*SketchStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loadvec: %w", err)
 	}
-	rows, _, _ := cm.Raw()
-	adviseHuge(rows)
+	adviseHuge(cm.Raw())
 	return &SketchStore{cm: cm, n: n}, nil
 }
 
@@ -387,6 +361,16 @@ func (s *SketchStore) Len() int { return s.n }
 //
 //kd:hotpath
 func (s *SketchStore) Load(bin int) int { return s.cm.Estimate(bin) }
+
+// Gather implements Store: one count-min estimate per read.
+//
+//kd:hotpath
+func (s *SketchStore) Gather(bins, loads []int) {
+	loads = loads[:len(bins)]
+	for i, b := range bins {
+		loads[i] = s.cm.Estimate(b)
+	}
+}
 
 // Add implements Store.
 //
@@ -445,27 +429,6 @@ func (s *SketchStore) BulkAdd(bins []int) {
 	}
 	s.max = max
 	s.balls += len(bins)
-}
-
-// BulkSub implements Store: one deferred max rescan for the whole batch.
-//
-//kd:hotpath
-func (s *SketchStore) BulkSub(bins []int) {
-	touchedMax := false
-	for _, b := range bins {
-		old := s.cm.Estimate(b)
-		if old < 1 {
-			panic("loadvec: Sub below zero load")
-		}
-		if old == s.max {
-			touchedMax = true
-		}
-		s.cm.Sub(b, 1)
-	}
-	s.balls -= len(bins)
-	if touchedMax {
-		s.max = s.rescanMax()
-	}
 }
 
 // Set implements Store — approximately: the sketch cannot address one bin
@@ -549,7 +512,3 @@ func (s *SketchStore) Reset() {
 func (s *SketchStore) BytesPerBin() float64 {
 	return float64(s.cm.Bytes()) / float64(s.n)
 }
-
-// RawSketch exposes the underlying count-min array for the
-// store-specialized kernels. Read-only for callers.
-func (s *SketchStore) RawSketch() *sketch.CountMin { return s.cm }

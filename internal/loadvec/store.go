@@ -27,14 +27,20 @@ package loadvec
 // approximate, so every process produces bit-identical results on every
 // exact store for equal seeds (pinned by the cross-store equivalence tests
 // in internal/core). SketchStore trades that for sub-nibble memory; its
-// estimates never under-report, and the equivalence tests pin the
-// specialized kernels bit-identical to the interface kernel on the same
-// sketch.
+// estimates never under-report.
+//
+// The round engine reads a store in one way only: Gather fills the loads
+// of a round's sampled bins in one call. Each store implements it as a
+// plain loop over its own cell array and escape table (a dense, int32 or
+// uint16 index; a nibble unpack; a count-min estimate), so the cell
+// layouts stay private to this package. CellView lends the engine the one
+// fact it needs beyond that: where the cell array lies, for prefetching.
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // StoreKind selects a Store implementation.
@@ -119,11 +125,11 @@ func ParseStoreKind(s string) (StoreKind, error) {
 
 // Store is the bin-load state of an allocation process. One-shot
 // simulations only grow loads through Add/AddN; the online-serving layer
-// also drains bins through Sub/BulkSub as balls depart. Set exists for test
+// also drains bins through Sub as balls depart. Set exists for test
 // scenarios and snapshot restoration. A Store is not safe for concurrent
-// mutation, but concurrent reads (Load/MaxLoad/NuY) with no writer are safe
-// — the sharded StaleBatch round relies on this during its read-only
-// decision phase.
+// mutation, but concurrent reads (Load/Gather/MaxLoad/NuY) with no writer
+// are safe — the sharded engine's decide phase relies on this: its workers
+// Gather disjoint chunks of one frozen store at once.
 type Store interface {
 	// Kind identifies the implementation.
 	Kind() StoreKind
@@ -131,6 +137,11 @@ type Store interface {
 	Len() int
 	// Load returns the load of the given bin.
 	Load(bin int) int
+	// Gather sets loads[i] = Load(bins[i]) for every i (bins may repeat;
+	// loads must be at least as long as bins). It is the per-round read of
+	// the round engine: one call per round instead of one per bin. Read-only
+	// and safe for concurrent readers.
+	Gather(bins, loads []int)
 	// Add places one ball into the bin and returns its new load (the
 	// ball's height).
 	Add(bin int) int
@@ -148,11 +159,6 @@ type Store interface {
 	// be observed. The final state is exactly that of calling Add once per
 	// entry in order.
 	BulkAdd(bins []int)
-	// BulkSub removes one ball from every listed bin (bins may repeat)
-	// with a single aggregate-bookkeeping update: the deletion mirror of
-	// BulkAdd. The final state is exactly that of calling Sub(bin, 1) once
-	// per entry in order.
-	BulkSub(bins []int)
 	// Set overwrites the bin's load, keeping the aggregate bookkeeping
 	// (balls, max load, histogram) consistent. Not a hot-path operation.
 	Set(bin, load int)
@@ -223,6 +229,11 @@ func (s *DenseStore) Len() int { return len(s.loads) }
 //kd:hotpath
 func (s *DenseStore) Load(bin int) int { return s.loads[bin] }
 
+// Gather implements Store.
+//
+//kd:hotpath
+func (s *DenseStore) Gather(bins, loads []int) { gatherCells(bins, loads, s.loads, -1, nil) }
+
 // Add implements Store.
 //
 //kd:hotpath
@@ -288,28 +299,6 @@ func (s *DenseStore) BulkAdd(bins []int) {
 	s.balls += len(bins)
 }
 
-// BulkSub implements Store: one deferred max rescan for the whole batch
-// instead of one per max-bin decrement.
-//
-//kd:hotpath
-func (s *DenseStore) BulkSub(bins []int) {
-	touchedMax := false
-	for _, b := range bins {
-		v := s.loads[b] - 1
-		if v < 0 {
-			panic("loadvec: Sub below zero load")
-		}
-		if v+1 == s.max {
-			touchedMax = true
-		}
-		s.loads[b] = v
-	}
-	s.balls -= len(bins)
-	if touchedMax {
-		s.max = Vector(s.loads).Max()
-	}
-}
-
 // Set implements Store.
 func (s *DenseStore) Set(bin, load int) {
 	old := s.loads[bin]
@@ -373,8 +362,8 @@ func (s *CompactStore) Kind() StoreKind { return StoreCompact }
 func (s *CompactStore) Len() int { return len(s.small) }
 
 // Load implements Store. The non-escaped fast path is small enough to
-// inline into the specialized round kernels; the wide-table lookup is
-// outlined so the map access cannot blow the inlining budget.
+// inline into callers; the wide-table lookup is outlined so the map access
+// cannot blow the inlining budget.
 //
 //kd:hotpath
 func (s *CompactStore) Load(bin int) int {
@@ -382,6 +371,13 @@ func (s *CompactStore) Load(bin int) int {
 		return int(v)
 	}
 	return s.loadWide(bin)
+}
+
+// Gather implements Store.
+//
+//kd:hotpath
+func (s *CompactStore) Gather(bins, loads []int) {
+	gatherCells(bins, loads, s.small, escape16, s.wide)
 }
 
 // loadWide returns the load of an escaped cell from the wide side table.
@@ -497,38 +493,6 @@ func (s *CompactStore) Sub(bin, w int) int {
 		s.max = s.rescanMax()
 	}
 	return v
-}
-
-// BulkSub implements Store: one deferred max rescan for the whole batch,
-// with the same escape-cell reclaim as Sub.
-//
-//kd:hotpath
-func (s *CompactStore) BulkSub(bins []int) {
-	touchedMax := false
-	for _, b := range bins {
-		old := s.Load(b)
-		if old == 0 {
-			panic("loadvec: Sub below zero load")
-		}
-		if old == s.max {
-			touchedMax = true
-		}
-		v := old - 1
-		if s.small[b] == escape16 {
-			if v < escape16 {
-				delete(s.wide, b)
-				s.small[b] = uint16(v)
-			} else {
-				s.wide[b] = v
-			}
-		} else {
-			s.small[b] = uint16(v)
-		}
-	}
-	s.balls -= len(bins)
-	if touchedMax {
-		s.max = s.rescanMax()
-	}
 }
 
 // BulkAdd implements Store: in-range cells increment with the max counter
@@ -680,9 +644,13 @@ func (s *HistStore) Len() int { return len(s.loads) }
 //kd:hotpath
 func (s *HistStore) Load(bin int) int { return int(s.loads[bin]) }
 
+// Gather implements Store.
+//
+//kd:hotpath
+func (s *HistStore) Gather(bins, loads []int) { gatherCells(bins, loads, s.loads, -1, nil) }
+
 // Add implements Store. The histogram-growth path is outlined so the
-// common increment stays small enough to inline into the specialized round
-// kernels.
+// common increment stays small enough to inline into callers.
 //
 //kd:hotpath
 func (s *HistStore) Add(bin int) int {
@@ -766,16 +734,6 @@ func (s *HistStore) BulkAdd(bins []int) {
 	}
 }
 
-// BulkSub implements Store. As with BulkAdd, the histogram moves one unit
-// per ball; the batch loops Sub.
-//
-//kd:hotpath
-func (s *HistStore) BulkSub(bins []int) {
-	for _, b := range bins {
-		s.Sub(b, 1)
-	}
-}
-
 // Set implements Store.
 func (s *HistStore) Set(bin, load int) {
 	if load > math.MaxInt32 {
@@ -852,20 +810,65 @@ func (s *HistStore) BytesPerBin() float64 {
 	return 4 + float64(8*len(s.count))/float64(len(s.loads))
 }
 
-// CompactEscape is the sentinel cell value marking an escaped compact bin;
-// exported for the specialized kernels' raw fast path.
-const CompactEscape = escape16
+// cell enumerates the per-bin cell types of the array stores; each has
+// its own GC shape, so gatherCells compiles to one full instantiation per
+// store whose cell read is a direct indexed load.
+type cell interface {
+	~int | ~int32 | ~uint16
+}
 
-// RawLoads exposes the dense store's backing load array for the
-// store-specialized kernels. Read-only for callers: mutating it directly
+// gatherCells is the gather loop of the array stores: loads[i] is the cell
+// of bins[i], or its wide-table entry when the cell holds the escape
+// sentinel esc (the compact store; the dense and hist stores pass -1,
+// which no cell holds, and a nil table).
+//
+//kd:hotpath
+func gatherCells[E cell](bins, loads []int, cells []E, esc int, wide map[int]int) {
+	loads = loads[:len(bins)]
+	for i, b := range bins {
+		v := int(cells[b])
+		if v == esc {
+			v = wide[b]
+		}
+		loads[i] = v
+	}
+}
+
+// CellView returns the address of the store's per-bin cell array and the
+// width of one cell in bits, so that bin b's cell starts at byte b·bits/8:
+// what a caller needs to prefetch the cells of the bins it will Gather
+// next. The array is allocated once and Reset clears it in place, so the
+// view holds for the store's life. A store whose load is not one cell per
+// bin (the sketch) returns a nil base.
+func CellView(s Store) (base unsafe.Pointer, bits uint) {
+	switch s := s.(type) {
+	case *DenseStore:
+		return cellView(s.loads)
+	case *CompactStore:
+		return cellView(s.small)
+	case *HistStore:
+		return cellView(s.loads)
+	case *NibbleStore:
+		return unsafe.Pointer(unsafe.SliceData(s.packed)), 4
+	}
+	return nil, 0
+}
+
+func cellView[E cell](cells []E) (unsafe.Pointer, uint) {
+	var e E
+	return unsafe.Pointer(unsafe.SliceData(cells)), uint(unsafe.Sizeof(e)) * 8
+}
+
+// RawLoads exposes the dense store's backing load array to the benchmark
+// module's layer replay. Read-only for callers: mutating it directly
 // desynchronizes the aggregate bookkeeping.
 func (s *DenseStore) RawLoads() []int { return s.loads }
 
-// RawLoads exposes the compact store's small cells and wide side table for
-// the store-specialized kernels: a cell equal to CompactEscape holds its
+// RawLoads exposes the compact store's small cells and wide side table to
+// the benchmark module's layer replay: a cell equal to 65535 holds its
 // true load in the map. Read-only for callers.
 func (s *CompactStore) RawLoads() ([]uint16, map[int]int) { return s.small, s.wide }
 
-// RawLoads exposes the histogram store's backing load array for the
-// store-specialized kernels. Read-only for callers.
+// RawLoads exposes the histogram store's backing load array to the
+// benchmark module's layer replay. Read-only for callers.
 func (s *HistStore) RawLoads() []int32 { return s.loads }

@@ -41,7 +41,7 @@ func shadowCheck(t *testing.T, stage string, s Store, shadow []int) {
 }
 
 // TestSubAddNProperty drives every store through a random interleaving of
-// Add/AddN/Sub/BulkAdd/BulkSub against the []int reference, checking the
+// Add/AddN/Sub/BulkAdd/Set against the []int reference, checking the
 // full observable state after every mutation batch.
 func TestSubAddNProperty(t *testing.T) {
 	const n = 48
@@ -56,7 +56,7 @@ func TestSubAddNProperty(t *testing.T) {
 			bulk := make([]int, 0, 16)
 			for step := 0; step < 4000; step++ {
 				bin := rng.Intn(n)
-				switch op := rng.Intn(6); op {
+				switch op := rng.Intn(5); op {
 				case 0:
 					s.Add(bin)
 					shadow[bin]++
@@ -81,16 +81,6 @@ func TestSubAddNProperty(t *testing.T) {
 					}
 					s.BulkAdd(bulk)
 				case 4:
-					bulk = bulk[:0]
-					for i := rng.Intn(16); i >= 0; i-- {
-						b := rng.Intn(n)
-						if shadow[b] > 0 {
-							bulk = append(bulk, b)
-							shadow[b]--
-						}
-					}
-					s.BulkSub(bulk)
-				case 5:
 					v := rng.Intn(20)
 					s.Set(bin, v)
 					shadow[bin] = v
@@ -126,7 +116,7 @@ func TestSubBelowZeroPanics(t *testing.T) {
 // TestCompactEscapeShrink is the regression test for the escape-cell
 // reclaim: a bin pushed past the uint16 ceiling into the wide table must
 // return to the small array — losslessly — once it drains back under the
-// ceiling, whether via Sub, BulkSub or Set.
+// ceiling, whether it got there via AddN or Set.
 func TestCompactEscapeShrink(t *testing.T) {
 	s, err := NewStore(StoreCompact, 8)
 	if err != nil {
@@ -134,7 +124,7 @@ func TestCompactEscapeShrink(t *testing.T) {
 	}
 	cs := s.(*CompactStore)
 
-	const high = CompactEscape + 1000
+	const high = escape16 + 1000
 	s.AddN(3, high)
 	if cs.Escaped() != 1 {
 		t.Fatalf("Escaped = %d after crossing the ceiling, want 1", cs.Escaped())
@@ -163,21 +153,25 @@ func TestCompactEscapeShrink(t *testing.T) {
 		t.Fatalf("MaxLoad = %d after reclaim, want %d", got, high-2500)
 	}
 
-	// BulkSub reclaims too: re-escape, then drain one unit at a time from
-	// exactly the ceiling boundary.
-	s.Set(3, CompactEscape+1)
+	// A Set escape reclaims too: re-escape, then drain one unit at a time
+	// across exactly the ceiling boundary.
+	s.Set(3, escape16+1)
 	if cs.Escaped() != 1 {
 		t.Fatalf("Escaped = %d after Set above ceiling, want 1", cs.Escaped())
 	}
-	s.BulkSub([]int{3, 3})
+	s.Sub(3, 1)
+	if cs.Escaped() != 1 {
+		t.Fatalf("Escaped = %d at the ceiling, want 1", cs.Escaped())
+	}
+	s.Sub(3, 1)
 	if cs.Escaped() != 0 {
-		t.Fatalf("Escaped = %d after BulkSub under the ceiling, want 0", cs.Escaped())
+		t.Fatalf("Escaped = %d after draining under the ceiling, want 0", cs.Escaped())
 	}
-	if got := s.Load(3); got != CompactEscape-1 {
-		t.Fatalf("Load = %d after BulkSub reclaim, want %d", got, CompactEscape-1)
+	if got := s.Load(3); got != escape16-1 {
+		t.Fatalf("Load = %d after reclaim, want %d", got, escape16-1)
 	}
-	if got := s.Balls(); got != CompactEscape-1 {
-		t.Fatalf("Balls = %d after reclaim, want %d", got, CompactEscape-1)
+	if got := s.Balls(); got != escape16-1 {
+		t.Fatalf("Balls = %d after reclaim, want %d", got, escape16-1)
 	}
 }
 

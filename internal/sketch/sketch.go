@@ -18,8 +18,9 @@
 //
 // All hashing is the splitmix64 finalizer over a per-row seed derived from a
 // fixed constant, so two sketches with equal geometry agree bit for bit on
-// every operation sequence — the property the cross-kernel equivalence tests
-// in internal/core pin.
+// every operation sequence. The counter layout and hash recipe are private:
+// loadvec.SketchStore, the package's one importer, reads loads through
+// Estimate.
 package sketch
 
 import "fmt"
@@ -66,7 +67,7 @@ func New(width, depth int) (*CountMin, error) {
 		depth: depth,
 	}
 	for r := range c.seeds {
-		c.seeds[r] = Mix64(baseSeed + uint64(r)*hashMul)
+		c.seeds[r] = mix64(baseSeed + uint64(r)*hashMul)
 	}
 	return c, nil
 }
@@ -80,23 +81,21 @@ func (c *CountMin) Depth() int { return c.depth }
 // Bytes returns the counter-array footprint in bytes.
 func (c *CountMin) Bytes() int { return len(c.rows) }
 
-// Mix64 is the splitmix64 finalizer, the bijective mixer behind the row
-// hashes (exported so the devirtualized kernels in internal/core compute
-// the identical cell indices from the raw views).
+// mix64 is the splitmix64 finalizer, the bijective mixer behind the row
+// hashes.
 //
 //kd:hotpath
-func Mix64(z uint64) uint64 {
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// Cell returns the flat rows index of key's counter in row r — the hash the
-// raw-view consumers must reproduce.
+// cell returns the flat rows index of key's counter in row r.
 //
 //kd:hotpath
-func (c *CountMin) Cell(r, key int) int {
-	return r*c.width + int(Mix64(c.seeds[r]^uint64(key)*hashMul)&c.mask)
+func (c *CountMin) cell(r, key int) int {
+	return r*c.width + int(mix64(c.seeds[r]^uint64(key)*hashMul)&c.mask)
 }
 
 // Estimate returns the current estimate for key: the minimum of its
@@ -105,9 +104,9 @@ func (c *CountMin) Cell(r, key int) int {
 //
 //kd:hotpath
 func (c *CountMin) Estimate(key int) int {
-	est := int(c.rows[c.Cell(0, key)])
+	est := int(c.rows[c.cell(0, key)])
 	for r := 1; r < c.depth; r++ {
-		if v := int(c.rows[c.Cell(r, key)]); v < est {
+		if v := int(c.rows[c.cell(r, key)]); v < est {
 			est = v
 		}
 	}
@@ -121,7 +120,7 @@ func (c *CountMin) Estimate(key int) int {
 func (c *CountMin) Add(key, w int) int {
 	est := Saturated
 	for r := 0; r < c.depth; r++ {
-		i := c.Cell(r, key)
+		i := c.cell(r, key)
 		v := int(c.rows[i])
 		if v != Saturated {
 			v += w
@@ -145,7 +144,7 @@ func (c *CountMin) Add(key, w int) int {
 //kd:hotpath
 func (c *CountMin) Sub(key, w int) {
 	for r := 0; r < c.depth; r++ {
-		i := c.Cell(r, key)
+		i := c.cell(r, key)
 		v := int(c.rows[i])
 		if v == Saturated {
 			continue
@@ -165,10 +164,7 @@ func (c *CountMin) Reset() {
 	}
 }
 
-// Raw exposes the flat counter rows and the per-row seeds for the
-// store-specialized kernels (read-only for callers): row r of the returned
-// slice spans [r*Width(), (r+1)*Width()), and key's counter in row r sits
-// at offset Mix64(seed[r] ^ key*0x9e3779b97f4a7c15) & (Width()-1).
-func (c *CountMin) Raw() (rows []uint8, seeds []uint64, mask uint64) {
-	return c.rows, c.seeds, c.mask
-}
+// Raw returns the flat counter array (depth rows of Width() counters), so
+// the owner can advise its memory (loadvec.NewSketch asks for huge pages).
+// Read-only for callers.
+func (c *CountMin) Raw() []uint8 { return c.rows }

@@ -112,27 +112,6 @@ func TestSaturationSticky(t *testing.T) {
 	}
 }
 
-// TestRawMatchesCell pins the raw-view hash recipe the kernels in
-// internal/core reproduce: Cell must equal the documented Mix64 formula.
-func TestRawMatchesCell(t *testing.T) {
-	c, err := New(512, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, seeds, mask := c.Raw()
-	if len(rows) != c.Width()*c.Depth() || len(seeds) != c.Depth() || mask != uint64(c.Width()-1) {
-		t.Fatal("raw view geometry mismatch")
-	}
-	for r := 0; r < c.Depth(); r++ {
-		for key := 0; key < 100; key++ {
-			want := r*c.Width() + int(Mix64(seeds[r]^uint64(key)*hashMul)&mask)
-			if got := c.Cell(r, key); got != want {
-				t.Fatalf("Cell(%d, %d) = %d, want %d", r, key, got, want)
-			}
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a, _ := New(256, 2)
 	b, _ := New(256, 2)

@@ -373,7 +373,8 @@ type Config struct {
 	// Serialized, DChoice, and CoarseDChoice are bit-identical at
 	// Block = 1 and otherwise see each round's loads as of its block
 	// start (the staleness horizon is exactly Block rounds); OnePlusBeta
-	// matches the serial law in distribution only. Policies with
+	// matches the serial law in distribution only, and shards at D <= 2
+	// only (its sharded prologue probes two bins). Policies with
 	// data-dependent draw patterns reject Shards > 1.
 	//
 	// 0 = auto: GOMAXPROCS workers for StaleBatch (exact at any count),
