@@ -179,6 +179,10 @@ func grid(name string, quick bool) []cell {
 	switch name {
 	case "kd":
 		acc := kd(n, 2, 64, kdchoice.StoreDense)
+		// StaleBatch runs serial only; Shards: 1 keeps -shards off it.
+		stale := func(k int) cell {
+			return round(kdchoice.Config{Bins: n, K: k, D: 2, Seed: 1, Policy: kdchoice.StaleBatch, Shards: 1})
+		}
 		sort, sharded, hist, block1, serialized := acc, acc, acc, acc, acc
 		// The reference kernel runs serial only; Shards: 1 keeps the
 		// -shards ablation off it.
@@ -197,10 +201,12 @@ func grid(name string, quick bool) []cell {
 			ratchet(round(kd(n, 128, 192, kdchoice.StoreDense))),
 			round(kd(pick(10_000, 512), 2, 4, kdchoice.StoreDense)),
 			round(serialized),
-			round(kdchoice.Config{Bins: n, D: 2, Seed: 1, Policy: kdchoice.DChoice}),
+			// The per-ball argmin: d-choice and the one-gather StaleBatch
+			// round.
+			ratchet(round(kdchoice.Config{Bins: n, D: 2, Seed: 1, Policy: kdchoice.DChoice})),
 			round(kdchoice.Config{Bins: n, Beta: 0.5, Seed: 1, Policy: kdchoice.OnePlusBeta}),
-			round(kdchoice.Config{Bins: n, K: 8, D: 2, Seed: 1, Policy: kdchoice.StaleBatch}),
-			round(kdchoice.Config{Bins: n, K: 256, D: 2, Seed: 1, Policy: kdchoice.StaleBatch, Shards: 4}),
+			ratchet(stale(8)),
+			stale(256),
 		)
 	case "scale":
 		// The acceptance shape at two sizes, then m = 100n in the Theorem 2

@@ -75,14 +75,17 @@ func validConfig(c cell) error {
 
 // TestRatchetCells pins the cells -compare re-times: the serial and 4-shard
 // acceptance cells (k=2 rounds take the selector's small-k path), the flat
-// ranker and counting-path shapes, the serving and faulty serving
-// acceptance cells, and the n=1e8 nibble cell with its bytes/bin budget.
+// ranker and counting-path shapes, the per-ball argmin (d-choice and the
+// serial StaleBatch round), the serving and faulty serving acceptance
+// cells, and the n=1e8 nibble cell with its bytes/bin budget.
 func TestRatchetCells(t *testing.T) {
 	want := []string{
 		"kd/fast/n=100000,k=2,d=64",
 		"kd/fast/n=100000,k=2,d=64,shards=4",
 		"kd/fast/n=100000,k=8,d=16",
 		"kd/fast/n=100000,k=128,d=192",
+		"dchoice/n=100000,d=2",
+		"stale-batch/n=100000,k=8,d=2",
 		"serve/oneplusbeta/n=100000,d=2,beta=1,store=hist,churn=0.4",
 		"place/kd/fast/n=100000000,k=2,d=64,store=nibble,warm=0,balls=20000000",
 		"serve/oneplusbeta/n=100000,d=2,beta=1,store=hist,churn=0.4,faults=fail:0.0005,200+loss:0.1+retry:2+evict",
@@ -349,6 +352,7 @@ func TestOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
+	stale := 0
 	for _, c := range cells {
 		if seen[c.name()] {
 			t.Fatalf("duplicate cell %s after override", c.name())
@@ -357,9 +361,18 @@ func TestOverride(t *testing.T) {
 		if c.Cfg.ReferenceSelect && c.Cfg.Shards != 1 {
 			t.Fatalf("-shards reached the serial reference cell: %s", c.name())
 		}
+		if c.Cfg.Policy == kdchoice.StaleBatch {
+			stale++
+			if c.Cfg.Shards != 1 {
+				t.Fatalf("-shards reached a serial-only stale-batch cell: %s", c.name())
+			}
+		}
 		if c.Cfg.Shards == 0 || c.Cfg.Block == 0 {
 			t.Fatalf("cell %s not overridden", c.name())
 		}
+	}
+	if stale != 2 {
+		t.Fatalf("override kept %d stale-batch cells, want 2", stale)
 	}
 	// -block 1 turns the acceptance cell into the block=1 ablation cell;
 	// the first of the colliding pair is kept.

@@ -9,17 +9,20 @@
 //	      [-profile 10]
 //
 // -m 0 places n balls (the paper's canonical experiment); -m > n exercises
-// the heavily loaded case of Theorem 2. -policy and -store list their valid
-// values (sorted, with one-line memory/accuracy notes) in the flag help and
-// in unknown-value errors. -store compact runs 10⁷–10⁸ bin experiments in
-// ~2 bytes/bin, -store nibble in ~0.5, and -store sketch drops below 0.5 by
-// trading exactness for one-sided overestimates; -block overrides the
-// superstep size (bit-identical results for any setting).
+// the heavily loaded case of Theorem 2. -d defaults to 3, or to 2 with
+// -policy oneplusbeta (the classical two-probe (1+β) process). -policy and
+// -store list their valid values (sorted, with one-line memory/accuracy
+// notes) in the flag help and in unknown-value errors. -store compact runs
+// 10⁷–10⁸ bin experiments in ~2 bytes/bin, -store nibble in ~0.5, and -store
+// sketch drops below 0.5 by trading exactness for one-sided overestimates;
+// -block overrides the superstep size (bit-identical results for any
+// setting).
 // -shards >= 2 engages the sharded superstep engine: decisions for each
 // block of rounds run in parallel across that many workers, bit-identical
-// for ANY worker count (StaleBatch and single-choice exactly match serial;
-// the round policies trade a -block-bounded staleness horizon for the
-// parallelism).
+// for ANY worker count (single-choice exactly matches serial; the round
+// policies trade a -block-bounded staleness horizon for the parallelism).
+// The default 0, like 1, runs serial on every host; stale-batch runs
+// serial only and rejects -shards >= 2.
 //
 // -churn (poisson:R, adversarial:R, diurnal:R,A) or -weights (fixed:W,
 // exp:MEAN, uniform:LO,HI, zipf:S,MAX) switch to the online serving mode:
@@ -56,14 +59,14 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("kdsim", flag.ContinueOnError)
 	n := fs.Int("n", 1<<16, "number of bins")
 	k := fs.Int("k", 2, "balls per round")
-	d := fs.Int("d", 3, "probes per round")
+	d := fs.Int("d", 3, "probes per round (2 for -policy oneplusbeta unless set: the classical two-probe process)")
 	m := fs.Int("m", 0, "balls to place (0 = n)")
 	runs := fs.Int("runs", 10, "independent runs")
 	policyName := fs.String("policy", "kd", "allocation policy, one of:\n"+strings.Join(kdchoice.PolicyHelp(), "\n"))
 	beta := fs.Float64("beta", 0.5, "beta for oneplusbeta")
 	storeName := fs.String("store", "dense", "bin-load store, one of:\n"+strings.Join(kdchoice.StoreHelp(), "\n"))
 	block := fs.Int("block", 0, "superstep size in rounds for the round policies (0 = auto, bit-identical for any value)")
-	shards := fs.Int("shards", 0, "parallel decision workers (0 = auto; >=2 shards the fixed-prologue policies, bit-identical for any worker count; staleness horizon = -block for the round policies)")
+	shards := fs.Int("shards", 0, "parallel decision workers (0 or 1 = serial; >=2 shards the fixed-prologue policies except stale-batch, bit-identical for any worker count; staleness horizon = -block for the round policies)")
 	seed := fs.Uint64("seed", 1, "root seed")
 	profile := fs.Int("profile", 10, "print the top P mean sorted loads (0 to disable)")
 	churnName := fs.String("churn", "none", "serving churn model: "+strings.Join(kdchoice.ChurnNames(), ", ")+" (non-none serves an online stream)")
@@ -76,6 +79,9 @@ func run(args []string, out io.Writer) error {
 	policy, err := kdchoice.ParsePolicy(*policyName)
 	if err != nil {
 		return err
+	}
+	if policy == kdchoice.OnePlusBeta && !flagSet(fs, "d") {
+		*d = 2
 	}
 	store, err := kdchoice.ParseStore(*storeName)
 	if err != nil {
@@ -166,6 +172,13 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 	return nil
+}
+
+// flagSet reports whether the command line set the named flag.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // runServe runs the online serving mode: a churned operation stream served

@@ -42,6 +42,29 @@ func TestRunAllPolicies(t *testing.T) {
 	}
 }
 
+// TestRunOnePlusBetaShardedDefaultD: -d defaults to 2 for oneplusbeta (the
+// classical two-probe process), so the sharded engine, which probes two
+// bins, accepts it without an explicit -d; an explicit -d 3 still runs the
+// D-probe coin serially and is still rejected with -shards 2.
+func TestRunOnePlusBetaShardedDefaultD(t *testing.T) {
+	var sharded, serial bytes.Buffer
+	if err := run([]string{"-n", "512", "-runs", "2", "-policy", "oneplusbeta", "-shards", "2"}, &sharded); err != nil {
+		t.Fatalf("-policy oneplusbeta -shards 2: %v", err)
+	}
+	if !strings.Contains(sharded.String(), " d=2 ") {
+		t.Fatalf("oneplusbeta default -d is not 2:\n%s", sharded.String())
+	}
+	if err := run([]string{"-n", "512", "-runs", "2", "-policy", "oneplusbeta", "-d", "3"}, &serial); err != nil {
+		t.Fatalf("-policy oneplusbeta -d 3: %v", err)
+	}
+	if !strings.Contains(serial.String(), " d=3 ") {
+		t.Fatalf("explicit -d 3 not honoured:\n%s", serial.String())
+	}
+	if err := run([]string{"-n", "512", "-runs", "2", "-policy", "oneplusbeta", "-d", "3", "-shards", "2"}, &serial); err == nil {
+		t.Fatal("-policy oneplusbeta -d 3 -shards 2 accepted")
+	}
+}
+
 func TestRunNoProfile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-n", "256", "-runs", "1", "-profile", "0"}, &buf); err != nil {

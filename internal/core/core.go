@@ -37,20 +37,22 @@
 // and the histogram-indexed store all produce bit-identical results for
 // equal seeds, so production-scale runs (10⁷–10⁸ bins) can pick the memory
 // layout without changing a single result. A round reads the store once,
-// gathering its samples' loads with one Store.Gather call, and decides on
-// those loads with store-free code shared by every engine (kernel.go);
-// fixed-prologue round policies batch their randomness into supersteps of
-// Params.Block rounds (bit-identical to drawing per round). Params.Shards
-// engages the sharded superstep engine (shard.go): each superstep's
-// randomness is pre-drawn in the serial stream order, the workers of a
-// persistent pool claim the block's rounds from a shared cursor, each
-// gathering its rounds' loads from the unchanging store and deciding them
-// against that frozen snapshot, and placements apply serially in round
-// order. Sharded results are bit-identical for ANY worker count (snapshot
-// cells are positional, not scheduling-dependent); relative to the serial
-// process they are bit-identical wherever the policy's semantics allow
-// (StaleBatch and SingleChoice always; the load-coupled round policies at
-// Block = 1) and diverge only by bounded within-block staleness otherwise.
+// gathering its samples' loads with one Store.Gather call (a StaleBatch
+// round: all k·D of them), and decides on those loads with store-free code
+// shared by every engine (kernel.go); fixed-prologue round policies batch
+// their randomness into supersteps of Params.Block rounds (bit-identical
+// to drawing per round). Params.Shards >= 2 engages the sharded superstep
+// engine (shard.go): each superstep's randomness is pre-drawn in the
+// serial stream order, the workers of a persistent pool claim the block's
+// rounds from a shared cursor, each gathering its rounds' loads from the
+// unchanging store and deciding them against that frozen snapshot, and
+// placements apply serially in round order. Sharded results are
+// bit-identical for ANY worker count (snapshot cells are positional, not
+// scheduling-dependent); relative to the serial process they are
+// bit-identical wherever the policy's semantics allow (SingleChoice
+// always; the load-coupled round policies at Block = 1) and diverge only
+// by bounded within-block staleness otherwise. Shards 0 and 1 run serial
+// for every policy, so the engine never depends on the host.
 package core
 
 import (
@@ -235,29 +237,28 @@ type Params struct {
 	// auto-sizes the superstep (~4096 samples); explicit values must be
 	// >= 1. Policies without a fixed prologue ignore Block.
 	Block int
-	// Shards engages the sharded superstep engine with this many workers:
-	// each superstep's randomness is pre-drawn in the serial stream order
-	// (KDChoice and fixed-σ SerializedKD draw the next block on worker 0
-	// during the current decide phase), then in one parallel phase the
-	// workers claim the block's rounds from a shared cursor, roundClaim at a
-	// time (a StaleBatch round's balls in contiguous chunks), gather their
-	// loads — the store is read-only until the phase ends, so every worker
-	// sees the block-start loads — and decide them; placements then apply
-	// serially in round order. Results are bit-identical across ANY shard
-	// count >= 2 (which worker decides a round cannot reach the decision).
-	// Relative to the serial process: StaleBatch and SingleChoice are
-	// bit-identical always; KDChoice, fixed-σ SerializedKD, DChoice, and
-	// CoarseDChoice are bit-identical at Block = 1 and otherwise see each
-	// round's loads as of its block start (bounded within-block
-	// staleness); OnePlusBeta shards under its own two-probe prologue
-	// (D <= 2 only) and matches the serial law only in distribution.
-	// Policies with data-dependent prologues (AdaptiveKD, DynamicKD,
-	// random-σ SerializedKD, AlwaysGoLeft, SAx0) reject Shards > 1.
+	// Shards >= 2 engages the sharded superstep engine with this many
+	// workers: each superstep's randomness is pre-drawn in the serial
+	// stream order (KDChoice and fixed-σ SerializedKD draw the next block
+	// on worker 0 during the current decide phase), then in one parallel
+	// phase the workers claim the block's rounds from a shared cursor,
+	// roundClaim at a time, gather their loads — the store is read-only
+	// until the phase ends, so every worker sees the block-start loads —
+	// and decide them; placements then apply serially in round order.
+	// Results are bit-identical across ANY shard count >= 2 (which worker
+	// decides a round cannot reach the decision). Relative to the serial
+	// process: SingleChoice is bit-identical always; KDChoice, fixed-σ
+	// SerializedKD, DChoice, and CoarseDChoice are bit-identical at
+	// Block = 1 and otherwise see each round's loads as of its block start
+	// (bounded within-block staleness); OnePlusBeta shards under its own
+	// two-probe prologue (D <= 2 only) and matches the serial law only in
+	// distribution. StaleBatch (whose serial round gathers all of its
+	// probes in one pass) and the policies with data-dependent prologues
+	// (AdaptiveKD, DynamicKD, random-σ SerializedKD, AlwaysGoLeft, SAx0,
+	// ThresholdChoice) reject Shards > 1.
 	//
-	// 0 = auto: GOMAXPROCS workers for StaleBatch — whose sharding is
-	// exact at any count — and serial for every other policy, so that an
-	// auto-shard config can never change the allocation law between
-	// hosts. Sharding a staleness-coupled policy is an explicit opt-in.
+	// 0 and 1 run the serial engine for every policy, so the engine never
+	// depends on the host; sharding is an explicit opt-in.
 	Shards int
 	// VecDims switches the process into vector-load mode when > 0: every
 	// bin carries a VecDims-component []float64 load vector, balls arrive
@@ -316,7 +317,7 @@ type Process struct {
 	obs Observer
 
 	// Reused per-round buffers (never escape a round).
-	samples  []int
+	samples  []int // a round's samples (StaleBatch: all k·D of them)
 	sortBuf  []int // bin-sorted copy of samples (reference kernel)
 	slots    []slot
 	ldv      []int // per-sample loads (kernel gather pass)
@@ -341,10 +342,6 @@ type Process struct {
 	// fixed-prologue round fans out over a persistent worker pool while
 	// randomness stays serially pre-drawn and placements apply serially.
 	shard *shardEngine
-
-	// StaleBatch sharded rounds: all k·D samples of a round, drawn up
-	// front so the decision phase is read-only.
-	shardBuf []int
 
 	// SAx0 bookkeeping: loadCount[y] = number of bins with load exactly y.
 	loadCount []int
@@ -447,8 +444,7 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 		pr.fltSlots = make([]slot, 0, width)
 		pr.fltPair = make([]int, 2)
 	}
-	shards := effectiveShards(policy, p)
-	if shards > 1 {
+	if shards := effectiveShards(p); shards > 1 {
 		// Sharded superstep engine: randomness stays serially pre-drawn (a
 		// round engine for the fixed-d policies, pr.rng for the rest) and
 		// the decision phase fans out over a persistent worker pool.
@@ -459,10 +455,14 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 		pr.eng = newRoundEngine(rng, p.N, p.D, blockRounds(p.D, p.Block))
 	}
 	if d := p.D; d > 0 {
-		pr.samples = make([]int, d)
+		width := d
+		if policy == StaleBatch {
+			width = p.K * d // a round gathers every ball's probes at once
+		}
+		pr.samples = make([]int, width)
 		pr.sortBuf = make([]int, d)
 		pr.slots = make([]slot, 0, d)
-		pr.ldv = make([]int, d)
+		pr.ldv = make([]int, width)
 	}
 	if policy == KDChoice || policy == SerializedKD {
 		pr.selsc = newSelector(p.D)
@@ -483,9 +483,6 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 	}
 	if policy == StaleBatch {
 		pr.cands = make([]int, p.K)
-		if shards > 1 {
-			pr.shardBuf = make([]int, p.K*p.D)
-		}
 	}
 	if policy == SAx0 {
 		pr.loadCount = make([]int, 8)
@@ -580,8 +577,13 @@ func Validate(policy Policy, p Params) error {
 		}
 	}
 	if p.Shards > 1 {
+		if policy == StaleBatch {
+			// Its serial round already reads every probe of the round in
+			// one gather; a pool barrier per round only slows it down.
+			return fmt.Errorf("core: Shards = %d with stale-batch: stale-batch runs on the serial engine only (use Shards <= 1)", p.Shards)
+		}
 		if !shardEligible(policy, p) {
-			return fmt.Errorf("core: Shards > 1 requires a fixed-prologue policy (kd, fixed-σ kd-serialized, dchoice, dchoice-coarse, single, oneplusbeta, stale-batch); %v rounds cannot be pre-drawn", policy)
+			return fmt.Errorf("core: Shards > 1 requires a fixed-prologue policy (kd, fixed-σ kd-serialized, dchoice, dchoice-coarse, single, oneplusbeta); %v rounds cannot be pre-drawn", policy)
 		}
 		if policy == OnePlusBeta && p.D > 2 {
 			// The sharded prologue draws two probes per ball, which matches
@@ -591,7 +593,7 @@ func Validate(policy Policy, p Params) error {
 		if p.VecDims > 0 {
 			return fmt.Errorf("core: Shards > 1 is a round-mode knob; vector-load mode places per ball and cannot shard")
 		}
-		if p.Block > 0 && !blockEligible(policy, p) && policy != StaleBatch {
+		if p.Block > 0 && !blockEligible(policy, p) {
 			// SingleChoice / OnePlusBeta supersteps buffer Block rounds of
 			// width 1 / 2; apply the same product cap as the block engine.
 			d := shardDrawWidth(policy)
@@ -894,11 +896,9 @@ func (pr *Process) step(toPlace int) {
 		pr.stepFaulty(toPlace)
 		return
 	}
-	if pr.shard != nil && pr.policy != StaleBatch {
+	if pr.shard != nil {
 		// Sharded superstep engine: decisions were (or will be) made in
 		// parallel for the whole block; apply this round's serially.
-		// StaleBatch keeps its own dispatch below — its superstep is one
-		// round wide and runs gather + decide phases on the same pool.
 		pr.shard.step(pr, toPlace)
 		return
 	}

@@ -2,7 +2,7 @@ package core
 
 // This file is the round engine's seam with the bin store. A round reads
 // the store in exactly one store-specific way: it gathers the loads of its
-// d samples, with one Store.Gather call (one dynamic dispatch per round;
+// samples, with one Store.Gather call (one dynamic dispatch per round;
 // each store runs a plain loop over its own cells, see loadvec). Everything
 // after the gather is store-free and shared by every path, serial and
 // sharded: the selection kernel (probeAndRank in select.go) for the (k,d)
@@ -11,27 +11,28 @@ package core
 // Add/BulkAdd, whose aggregate bookkeeping (max load, ball and histogram
 // counters) only the store can keep.
 //
-// Memory latency. A cheap read does not make a big-n gather fast: at
-// n = 10⁸ (a 200 MB compact array, d = 64) a CPU profile of the serial
-// round gave 52% to the gather, 39% to the selection scan and 6% to the
-// pre-draw. The gather stalls on d DRAM (and, with 4 KB pages, TLB)
-// misses, and then the selection runs with no miss in flight. The engine
-// therefore overlaps the two phases across rounds: the superstep pre-draw
-// already knows the next round's samples (roundEngine.peekNext), so
-// rankSelectWith hands them to the selector as a prefetch target
-// (selector.prefetchNext) and the selection scan of round r issues
-// non-blocking prefetches (prefetchIdx, assembly) for round r+1's load
-// lines, 8 samples every 8 samples. Round r+1's gather then finds its
-// lines in cache. The sharded decide phase (shard.go) does the same
-// within and across a worker's claims of rounds. The prefetch view (the
-// store's cell array and cell width, loadvec.CellView) is resolved once in
-// New: arrays below prefetchMinBytes, and the sketch, which has no cell
-// per bin, get none. loadvec backs the big arrays with transparent huge
-// pages, which removes most of the TLB misses. With both, and with the
-// streaming ranker in place of the group-table scan, the same profile
-// (2-vCPU Xeon VM) gives prefetchIdx 42%, the ranker's own loop 26%,
-// FillRounds 11%, the tie-key mixer 10% and the gather 5%: the misses now
-// wait in prefetchIdx for free fill buffers, overlapped with the
+// Memory latency. A cheap read does not make a big-n gather fast: at n = 10⁸
+// (a 200 MB compact array, d = 64) a CPU profile of the serial round gave
+// 52% to the gather, 39% to the selection scan and 6% to the pre-draw. The
+// gather stalls on d DRAM (and, with 4 KB pages, TLB) misses, and then the
+// selection runs with no miss in flight. The engine therefore overlaps the
+// two phases across rounds: the superstep pre-draw already knows the next
+// round's samples (roundEngine.peekNext), so rankSelectWith hands them to
+// the selector as a prefetch target (selector.prefetchNext) and the
+// selection scan of round r issues non-blocking prefetches (prefetchIdx,
+// assembly) for round r+1's load lines, 8 samples every 8 samples. Round
+// r+1's gather then finds its lines in cache. The per-ball argmin
+// (gatherArgmin) prefetches the next pre-drawn round's lines (DChoice,
+// CoarseDChoice) before its own gather, and the sharded decide phase
+// (shard.go) does the same within and across a worker's claims of rounds.
+// The prefetch view (the store's cell array and cell width,
+// loadvec.CellView) is resolved once in New: arrays below prefetchMinBytes,
+// and the sketch, which has no cell per bin, get none. loadvec backs the big
+// arrays with transparent huge pages, which removes most of the TLB misses.
+// With both, and with the streaming ranker in place of the group-table scan,
+// the same profile (2-vCPU Xeon VM) gives prefetchIdx 42%, the ranker's own
+// loop 26%, FillRounds 11%, the tie-key mixer 10% and the gather 5%: the
+// misses now wait in prefetchIdx for free fill buffers, overlapped with the
 // selection, instead of serializing in the gather. Nothing here reads the
 // store early or changes a result: a prefetch writes no memory.
 
@@ -60,28 +61,28 @@ func prefetchView(store loadvec.Store) (unsafe.Pointer, uint) {
 }
 
 // argminLdv is the store-free argmin scan over a gathered load snapshot:
-// the least-loaded sampled bin under quantum-q bucketing, ties broken by
-// the keyed hash. It is the one argmin behind every per-ball decision:
-// ball = 0, q = 1 is the greedy[d] scan of DChoice (and of OnePlusBeta's
-// D-probe coin); ball = 0, q = Quantum is CoarseDChoice; ball = b, q = 1 is
-// the StaleBatch decision of ball b against the round-start loads. At
-// ball = 0 the per-ball tie term uint64(ball)<<32 vanishes, leaving the
-// per-(round, bin) keyed hash, so a bin sampled several times holds one
-// lottery ticket; the duplicate-bin skip (cand == best) keeps that exact.
-// It must stay a pure function of its arguments: the sharded decide phase
-// calls it concurrently.
+// the least-loaded sampled bin, ties broken by the keyed hash. It is the
+// one argmin behind every per-ball decision: ball = 0 is the greedy[d]
+// scan of DChoice (and of OnePlusBeta's D-probe coin) and, over loads
+// quantized in place first, of CoarseDChoice; ball = b is the StaleBatch
+// decision of ball b against the round-start loads. At ball = 0 the
+// per-ball tie term uint64(ball)<<32 vanishes, leaving the per-(round,
+// bin) keyed hash, so a bin sampled several times holds one lottery
+// ticket; the duplicate-bin skip (cand == best) keeps that exact. It must
+// stay a pure function of its arguments: the sharded decide phase calls
+// it concurrently.
 //
 //kd:hotpath
-func argminLdv(samples, ldv []int, nonce uint64, ball, q int) int {
+func argminLdv(samples, ldv []int, nonce uint64, ball int) int {
 	best := samples[0]
-	bestLoad := ldv[0] / q
+	bestLoad := ldv[0]
 	bestTie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(best)*0x9e3779b97f4a7c15)
 	for j := 1; j < len(samples); j++ {
 		cand := samples[j]
 		if cand == best {
 			continue
 		}
-		load := ldv[j] / q
+		load := ldv[j]
 		switch {
 		case load < bestLoad:
 			best, bestLoad = cand, load
@@ -96,13 +97,33 @@ func argminLdv(samples, ldv []int, nonce uint64, ball, q int) int {
 	return best
 }
 
+// quantize replaces each gathered load by its quantum-q bucket
+// floor(load/q), CoarseDChoice's view of the loads (q > 1; argminLdv then
+// compares buckets).
+//
+//kd:hotpath
+func quantize(ldv []int, q int) {
+	for i := range ldv {
+		ldv[i] /= q
+	}
+}
+
 // gatherArgmin gathers the loads of pr.samples into pr.ldv and returns
-// their argmin (see argminLdv).
-func (pr *Process) gatherArgmin(nonce uint64, ball, q int) int {
+// their argmin (see argminLdv), over quantum-q buckets when q > 1. Before
+// the gather it prefetches the next pre-drawn round's load lines, as the
+// (k,d) selector does (selector.prefetchNext), so that round's gather
+// finds them in cache.
+func (pr *Process) gatherArgmin(nonce uint64, q int) int {
 	samples := pr.samples
 	ldv := pr.ldv[:len(samples)]
+	if pr.pfBase != nil {
+		prefetchIdx(pr.pfBase, pr.peekNext(), pr.pfBits)
+	}
 	pr.store.Gather(samples, ldv)
-	return argminLdv(samples, ldv, nonce, ball, q)
+	if q > 1 {
+		quantize(ldv, q)
+	}
+	return argminLdv(samples, ldv, nonce, 0)
 }
 
 // bulkAddMin is the selection size at which placeSlots switches from

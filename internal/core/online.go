@@ -187,7 +187,7 @@ func (pr *Process) decide() (bin, probes int) {
 		// is also what the sharded decide phase runs; at Quantum = 1 it is
 		// DChoice's exactly.
 		nonce := pr.roundPrologue()
-		return pr.gatherArgmin(nonce, 0, pr.quantum()), pr.p.D
+		return pr.gatherArgmin(nonce, pr.quantum()), pr.p.D
 	case ThresholdChoice:
 		return pr.decideThreshold()
 	case OnePlusBeta:
@@ -230,7 +230,7 @@ func (pr *Process) loadOf(bin int) float64 {
 // scalar mode, the same scan over the aggregated loads in vector mode.
 func (pr *Process) argminSamples(nonce uint64) int {
 	if pr.vec == nil {
-		return pr.gatherArgmin(nonce, 0, 1)
+		return pr.gatherArgmin(nonce, 1)
 	}
 	agg := pr.vec.RawAgg()
 	samples := pr.samples

@@ -1,24 +1,26 @@
 package core
 
 // This file is the sharded superstep engine: the parallel decision phase
-// behind Params.Shards >= 2. It generalizes what PR 6's sharded StaleBatch
-// round did for one policy to every fixed-prologue policy, on the
+// behind Params.Shards >= 2 for the fixed-prologue policies, on the
 // theoretical license of the 1-2-3-Toolkit's batched-round model (Bertrand
 // & Lenzen, arXiv:1407.8433): balls-into-bins tolerates bounded staleness
 // within a batch, so a whole block of rounds may be DECIDED against the
 // loads as of the block start and then APPLIED serially in round order.
+// StaleBatch, whose rounds decide on their start loads by definition, is
+// not among them: its serial round already reads all of a round's probes
+// in one gather (stale.go).
 //
 // Each superstep runs three phases:
 //
 //  1. draw: the block's randomness is pre-drawn through the exact serial
 //     sequence — xrand.FillRounds for the fixed-width prologues, FillIntn
-//     for SingleChoice, nonce-then-FillIntn for StaleBatch — so the word
-//     stream is identical to the serial process for any shard count and
-//     any block size. Randomness NEVER depends on P. The round-only
-//     policies (KDChoice, fixed-σ SerializedKD) draw block s+1 on worker 0
-//     during block s's decide phase, into the round engine's second block;
-//     only their first block is drawn serially. The blocks are drawn in
-//     the same stream order either way.
+//     for SingleChoice — so the word stream is identical to the serial
+//     process for any shard count and any block size. Randomness NEVER
+//     depends on P. The round-only policies (KDChoice, fixed-σ
+//     SerializedKD) draw block s+1 on worker 0 during block s's decide
+//     phase, into the round engine's second block; only their first block
+//     is drawn serially. The blocks are drawn in the same stream order
+//     either way.
 //  2. gather + decide (parallel, ONE pool dispatch): workers take the
 //     window's rounds from a shared atomic cursor, roundClaim rounds per
 //     claim, so a worker that drew the next block simply claims fewer.
@@ -31,23 +33,20 @@ package core
 //     during the phase, so every snapshot cell holds the block-start load
 //     of its sample whichever worker reads it: the snapshot, and every
 //     decision made from it, is a pure function of (samples, loads),
-//     independent of P and of scheduling. A StaleBatch round's balls are
-//     split into contiguous chunks, one per worker.
+//     independent of P and of scheduling.
 //  3. apply (serial): placements commit one round per step() call, in
 //     round order, through the same store paths as the serial process.
 //
 // Consequences, pinned by the shard tests: results are bit-identical
-// across ANY shard count >= 2; StaleBatch and SingleChoice are
-// bit-identical to serial always; the load-coupled round policies
-// (KDChoice, fixed-σ SerializedKD, DChoice, CoarseDChoice) are
-// bit-identical to serial at Block = 1 and otherwise diverge only by
-// within-block staleness (their gap statistics stay within the coupling
-// bounds); OnePlusBeta recasts its data-dependent draw pattern into a
-// fixed two-probe prologue and matches the serial law in distribution only
-// (so Validate admits it at D <= 2 only).
+// across ANY shard count >= 2; SingleChoice is bit-identical to serial
+// always; the load-coupled round policies (KDChoice, fixed-σ SerializedKD,
+// DChoice, CoarseDChoice) are bit-identical to serial at Block = 1 and
+// otherwise diverge only by within-block staleness (their gap statistics
+// stay within the coupling bounds); OnePlusBeta recasts its data-dependent
+// draw pattern into a fixed two-probe prologue and matches the serial law
+// in distribution only (so Validate admits it at D <= 2 only).
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -64,7 +63,7 @@ import (
 // count, SAx0 rank draws, AlwaysGoLeft's group geometry) are out.
 func shardEligible(policy Policy, p Params) bool {
 	switch policy {
-	case KDChoice, DChoice, CoarseDChoice, SingleChoice, OnePlusBeta, StaleBatch:
+	case KDChoice, DChoice, CoarseDChoice, SingleChoice, OnePlusBeta:
 		return true
 	case SerializedKD:
 		return !p.RandomSigma
@@ -82,32 +81,18 @@ func shardDrawWidth(policy Policy) int {
 	return 2 // OnePlusBeta
 }
 
-// effectiveShards resolves Params.Shards to a worker count. 0 (auto) means
-// GOMAXPROCS for StaleBatch — whose sharded rounds are bit-identical to
-// serial at any count, so auto can never change results — and serial for
-// every other policy: engaging the engine on a load-coupled policy changes
-// the allocation law (within-block staleness), and an implicit
-// host-dependent law change would break cross-machine reproducibility.
-// Sharding those policies is an explicit opt-in.
-func effectiveShards(policy Policy, p Params) int {
-	if faultsActive(p) {
-		// Fault decisions are serial by design (the injector's streams
-		// are consumed in round order), so an active plan forces the
-		// serial engine — which is exactly what makes a faulty run
-		// bit-identical for ANY Shards setting.
+// effectiveShards resolves Params.Shards to a worker count: Shards < 2
+// runs serial, and so does any Shards under an active fault plan — fault
+// decisions are serial by design (the injector's streams are consumed in
+// round order), which is exactly what makes a faulty run bit-identical for
+// ANY Shards setting. Anything else runs Shards workers: Validate has
+// already rejected Shards >= 2 on every policy the engine cannot run, and
+// no count is resolved from the host.
+func effectiveShards(p Params) int {
+	if faultsActive(p) || p.Shards < 2 {
 		return 1
 	}
-	s := p.Shards
-	if s == 0 {
-		if policy == StaleBatch {
-			return runtime.GOMAXPROCS(0)
-		}
-		return 1
-	}
-	if !shardEligible(policy, p) {
-		return 1
-	}
-	return s
+	return p.Shards
 }
 
 // shardPool is the engine's persistent worker pool: workers-1 goroutines
@@ -197,14 +182,13 @@ type shardEngine struct {
 	quantum int     // CoarseDChoice bucket width (1 = plain DChoice)
 	beta    float64 // OnePlusBeta mixing probability
 	block   int     // rounds per superstep B
-	workers int
 
 	// The prefetch view of the store (prefetchView; nil pfBase: off).
 	pfBase unsafe.Pointer
 	pfBits uint
 
 	pool  *shardPool
-	eng   *roundEngine // FillRounds block source (nil: single / stale mode)
+	eng   *roundEngine // FillRounds block source (nil: single mode)
 	ahead bool         // worker 0 draws the next block during the decide phase
 	sels  []*selector  // per-worker decision lane (kd / serialized only)
 
@@ -219,38 +203,25 @@ type shardEngine struct {
 
 	// The next unclaimed round of the window the decide phase covers.
 	cursor atomic.Int64
-
-	// StaleBatch per-round phase inputs.
-	staleBuf     []int
-	staleDests   []int
-	staleNonce   uint64
-	staleToPlace int
 }
 
 // newShardEngine builds the engine and its worker pool over the process's
 // store. The caller has already validated shardEligible and workers >= 2.
 func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store loadvec.Store) *shardEngine {
 	se := &shardEngine{
-		policy:  policy,
-		store:   store,
-		n:       p.N,
-		k:       1,
-		d:       p.D,
-		beta:    p.Beta,
-		workers: workers,
+		policy: policy,
+		store:  store,
+		n:      p.N,
+		k:      1,
+		d:      p.D,
+		beta:   p.Beta,
 	}
-	switch policy {
-	case StaleBatch:
-		// One round per superstep; randomness is drawn by staleRound via
-		// pr.rng (nonce then samples — the serial order), the snapshot
-		// covers the round's k·D samples.
-		se.ldv = make([]int, p.K*p.D)
-	case SingleChoice:
+	if policy == SingleChoice {
 		se.d = 1
 		se.block = shardBlockRounds(1, p.Block)
 		se.single = make([]int, se.block)
 		se.dests = se.single // the sample IS the destination
-	default:
+	} else {
 		if policy == OnePlusBeta {
 			se.d = shardDrawWidth(policy)
 		}
@@ -290,11 +261,7 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store
 	se.decEnd = se.block
 	// The pool's phase body is bound once; the per-dispatch inputs travel
 	// through engine fields, published by the doorbell send.
-	run := se.decideClaims
-	if policy == StaleBatch {
-		run = se.staleDecideChunk
-	}
-	se.pool = newShardPool(workers, run)
+	se.pool = newShardPool(workers, se.decideClaims)
 	return se
 }
 
@@ -356,15 +323,6 @@ func (se *shardEngine) refill(pr *Process) {
 	se.cursor.Store(int64(se.appIdx))
 	se.pool.dispatch()
 	se.decEnd = se.block
-}
-
-// chunkOf returns worker w's contiguous share [lo, hi) of n items.
-// Trailing workers get an empty chunk (lo >= hi) when n is below the
-// worker count.
-func (se *shardEngine) chunkOf(w, n int) (lo, hi int) {
-	chunk := (n + se.workers - 1) / se.workers
-	lo = w * chunk
-	return lo, min(lo+chunk, n)
 }
 
 // roundClaim is the number of rounds a worker takes from the window's
@@ -435,7 +393,10 @@ func (se *shardEngine) decideClaims(w int) {
 			se.decideOnePlusBeta(r, samples, ldv, nonce)
 		default: // DChoice, CoarseDChoice
 			prefetchIdx(base, pf, bits)
-			se.dests[r] = argminLdv(samples, ldv, nonce, 0, se.quantum)
+			if se.quantum > 1 {
+				quantize(ldv, se.quantum)
+			}
+			se.dests[r] = argminLdv(samples, ldv, nonce, 0)
 		}
 		r = next
 	}
@@ -469,8 +430,8 @@ func (se *shardEngine) decideOnePlusBeta(r int, samples, ldv []int, nonce uint64
 }
 
 // applyKD commits round r of a sharded (k,d)-choice block: the first
-// toPlace ranked destinations, batch-incremented when unobserved exactly
-// like the StaleBatch apply (one BulkAdd per round).
+// toPlace ranked destinations, batch-incremented when unobserved (one
+// BulkAdd per round).
 func (se *shardEngine) applyKD(pr *Process, r, toPlace int) {
 	dests := se.dests[r*se.k : r*se.k+toPlace]
 	placed, heights := pr.beginObs(toPlace)
@@ -554,45 +515,4 @@ func (se *shardEngine) applyOnePlusBeta(pr *Process, r int) {
 // the serial engine's pre-drawn rounds).
 func (se *shardEngine) roundSamples(r int) []int {
 	return se.blk.samples[r*se.d : (r+1)*se.d]
-}
-
-// staleRound is the sharded StaleBatch round — the engine's one-round-wide
-// configuration. The draw order (nonce, then every ball's samples in ball
-// order) and the apply path are exactly the serial round's, and the
-// gather-then-argmin chunks read the same frozen loads the serial scan
-// reads live (nothing mutates during the parallel phase), so the sharded
-// round is bit-identical to serial at any worker count.
-func (se *shardEngine) staleRound(pr *Process, toPlace int) {
-	perBall := se.d
-	nonce := pr.rng.Uint64()
-	placed, heights := pr.beginObs(toPlace)
-	if cap(pr.cands) < toPlace {
-		pr.cands = make([]int, toPlace)
-	}
-	dests := pr.cands[:toPlace]
-	buf := pr.shardBuf[:toPlace*perBall]
-	pr.rng.FillIntn(buf, pr.n)
-
-	se.staleBuf = buf
-	se.staleDests = dests
-	se.staleNonce = nonce
-	se.staleToPlace = toPlace
-	se.pool.dispatch()
-	pr.applyStaleDests(dests, placed, heights)
-}
-
-// staleDecideChunk gathers and decides worker w's contiguous chunk of a
-// StaleBatch round's balls: per-ball argmins over the frozen snapshot.
-func (se *shardEngine) staleDecideChunk(w int) {
-	lo, hi := se.chunkOf(w, se.staleToPlace)
-	if lo >= hi {
-		return
-	}
-	perBall := se.d
-	se.store.Gather(se.staleBuf[lo*perBall:hi*perBall], se.ldv[lo*perBall:hi*perBall])
-	for b := lo; b < hi; b++ {
-		samples := se.staleBuf[b*perBall : (b+1)*perBall]
-		ldv := se.ldv[b*perBall : (b+1)*perBall]
-		se.staleDests[b] = argminLdv(samples, ldv, se.staleNonce, b, 1)
-	}
 }

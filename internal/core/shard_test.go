@@ -20,8 +20,8 @@ import (
 //     round-only policies' drawn-ahead block is drawn in stream order, so
 //     split Place calls, Reset and Close cannot reach a result either
 //     (TestShardedDrawAheadMatchesOnePlace).
-//   - serial exactness where semantics allow: SingleChoice and StaleBatch
-//     at any block size; the load-coupled round policies at Block = 1
+//   - serial exactness where semantics allow: SingleChoice at any block
+//     size; the load-coupled round policies at Block = 1
 //     (one-round blocks see fresh loads, and the pre-drawn stream is the
 //     serial stream by FillRounds' replay guarantee).
 //   - the wide-block law itself: every round is decided against the loads
@@ -82,11 +82,11 @@ func withStore(p Params, store loadvec.StoreKind) Params {
 }
 
 // TestShardedReportIndependentOfShardCount: with the block size fixed, the
-// Report must be byte-identical for every shard count — the chunk
-// partition is the only P-dependent quantity and must not leak into
+// Report must be byte-identical for every shard count — which worker
+// claims a round is the only P-dependent quantity and must not leak into
 // results. OnePlusBeta (serial-divergent by design) is covered here too:
-// its sharded law must still be P-independent. Blocks 1 and 3 (and the
-// 3-ball StaleBatch round) leave some workers an empty chunk.
+// its sharded law must still be P-independent. Blocks 1 and 3 leave some
+// workers without a claim.
 func TestShardedReportIndependentOfShardCount(t *testing.T) {
 	const seed, m = 424242, 901
 	cases := append(shardExactCases[:len(shardExactCases):len(shardExactCases)],
@@ -94,12 +94,7 @@ func TestShardedReportIndependentOfShardCount(t *testing.T) {
 			name   string
 			policy Policy
 			p      Params
-		}{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.7}},
-		struct {
-			name   string
-			policy Policy
-			p      Params
-		}{"stale-batch", StaleBatch, Params{N: 96, K: 3, D: 2}})
+		}{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.7}})
 	for _, tc := range cases {
 		for _, store := range shardStores {
 			for _, block := range []int{1, 3, 7, 64} {
@@ -138,7 +133,7 @@ func TestShardedSingleMatchesSerialAnyBlock(t *testing.T) {
 }
 
 // TestShardedPlaceAfterClose: Close stops the worker pool but leaves the
-// process usable — later supersteps run every worker's chunk on the
+// process usable — later supersteps run every worker's share on the
 // caller, bit-identical to a twin that was never closed — and the pool's
 // goroutines are gone once both processes are closed.
 func TestShardedPlaceAfterClose(t *testing.T) {
@@ -149,7 +144,6 @@ func TestShardedPlaceAfterClose(t *testing.T) {
 		p      Params
 	}{
 		{"kd", KDChoice, Params{N: 1000, K: 2, D: 4}},
-		{"stale-batch", StaleBatch, Params{N: 1000, K: 8, D: 2}},
 		{"single", SingleChoice, Params{N: 1000}},
 	} {
 		for shards := 2; shards <= 4; shards++ {
@@ -276,7 +270,6 @@ func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
 	}{
 		{"kd", KDChoice, Params{N: 61, K: 3, D: 9}},
 		{"dchoice", DChoice, Params{N: 61, D: 3}},
-		{"stale-batch", StaleBatch, Params{N: 61, K: 5, D: 2}},
 	} {
 		for _, block := range []int{7, 64} {
 			p := tc.p
@@ -306,7 +299,8 @@ func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
 // blockOracle decides every round against snap, the loads as of the round's
 // block start (for StaleBatch, of the round start), then applies the round.
 // It draws the serial per-round prologue from its own stream: d samples then
-// the nonce (StaleBatch: the nonce, then every ball's samples).
+// the nonce (StaleBatch: the nonce, then each ball's samples, one ball at a
+// time).
 type blockOracle struct {
 	policy      Policy
 	p           Params
@@ -471,9 +465,8 @@ func TestShardedOnePlusBetaDistribution(t *testing.T) {
 // TestShardedAllocationFree: every sharded path must place balls with
 // ZERO allocations in steady state — the superstep refill (draw,
 // dispatch, gather, decide) included: each case times a span that crosses
-// at least two block boundaries (allocsAcrossBlocks). This pins the
-// satellite fix for the 528 B/round sharded StaleBatch leak: the
-// persistent pool replaced the per-round goroutine launches.
+// at least two block boundaries (allocsAcrossBlocks). The persistent pool
+// launches no goroutine per superstep.
 func TestShardedAllocationFree(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -490,16 +483,12 @@ func TestShardedAllocationFree(t *testing.T) {
 		{"dchoice-coarse/shards=4", CoarseDChoice, Params{N: 4096, D: 4, Shards: 4}},
 		{"single/shards=4", SingleChoice, Params{N: 4096, Shards: 4}},
 		{"oneplusbeta/shards=4", OnePlusBeta, Params{N: 4096, Beta: 0.5, Shards: 4}},
-		{"stale-batch/shards=2", StaleBatch, Params{N: 4096, K: 32, D: 3, Shards: 2}},
-		{"stale-batch/shards=4", StaleBatch, Params{N: 4096, K: 32, D: 3, Shards: 4}},
-		{"stale-batch/shards=8/nibble", StaleBatch, Params{N: 4096, K: 32, D: 3, Shards: 8, Store: loadvec.StoreNibble}},
-		// More workers than rounds per block (balls per round): the
-		// trailing workers' chunks are empty.
+		// More workers than rounds per block: the trailing workers claim
+		// nothing.
 		{"kd/shards=8/block=3", KDChoice, Params{N: 4096, K: 2, D: 64, Shards: 8, Block: 3}},
 		{"dchoice/shards=8/block=3/sketch", DChoice, Params{N: 4096, D: 3, Shards: 8, Block: 3, Store: loadvec.StoreSketch}},
-		{"stale-batch/shards=8/k=3", StaleBatch, Params{N: 4096, K: 3, D: 3, Shards: 8}},
 		// Bin arrays past loadvec's huge-page threshold (4 MB), through the
-		// prefetching chunk kernel.
+		// prefetching decide phase.
 		{"kd/shards=2/compact/huge", KDChoice, Params{N: 1 << 22, K: 2, D: 64, Shards: 2, Store: loadvec.StoreCompact}},
 		{"kd/shards=2/nibble/huge", KDChoice, Params{N: 1 << 23, K: 2, D: 64, Shards: 2, Store: loadvec.StoreNibble}},
 		{"kd/shards=2/k=8,d=16/compact/huge", KDChoice, Params{N: 1 << 22, K: 8, D: 16, Shards: 2, Store: loadvec.StoreCompact}},

@@ -13,61 +13,41 @@ package core
 // Message cost is k·PerBallD per round; to compare against A(k,d) at equal
 // budget choose PerBallD = d/k.
 //
-// Because every ball decides against the frozen round-start loads with no
-// shared state, the decision phase is embarrassingly parallel: with
-// Params.Shards > 1 (or 0 = auto on a multi-CPU host) the round runs as a
-// one-round-wide superstep of the sharded engine (shard.go) — all
-// randomness drawn serially up front in the exact serial order, then one
-// gather-and-argmin phase over contiguous chunks of the round's balls on
-// the persistent worker pool — so the sharded round is bit-identical to
-// the serial one (pinned by TestStaleBatchShardedMatchesSerial, including
-// under -race) and allocation-free in steady state. Placements are applied
-// serially in ball order afterwards, exactly as in the serial path.
-// StaleBatch is the one policy whose sharding is exact for any block size;
-// the load-coupled round policies shard under the same engine with a
-// within-block staleness tradeoff instead (see shard.go).
-
-// The per-ball decision scan is argminLdv (kernel.go) over the ball's
-// gathered loads, serial and sharded alike: the serial round gathers each
-// ball's probes just before deciding it, the sharded one gathers a chunk
-// of balls at once, and no load changes in between either way.
+// Because every ball decides against the frozen round-start loads, a round
+// reads all of its probes in one pass: it draws the nonce, then every
+// ball's samples with one FillIntn (the same words as one fill per ball),
+// gathers their loads with one Store.Gather, and takes each ball's argmin
+// (argminLdv, kernel.go) over its own D-wide slice of the snapshot. The
+// round runs on the serial engine only, and Validate rejects Shards >= 2:
+// a one-round superstep would pay a pool barrier for every k balls, and
+// the one gather already reads every probe of the round at once.
 
 // roundStaleBatch places toPlace balls, each with its own D probes judged
-// against the stale round-start loads.
+// against the stale round-start loads, then commits the decisions in ball
+// order (the round-synchronous update). Unobserved rounds use the store's
+// batch increment (dests is already the plain bin list BulkAdd wants);
+// observed rounds record per-ball heights.
 func (pr *Process) roundStaleBatch(toPlace int) {
-	if pr.shard != nil && toPlace > 1 {
-		pr.shard.staleRound(pr, toPlace)
-		return
-	}
+	d := pr.p.D
 	nonce := pr.rng.Uint64()
-	placed, heights := pr.beginObs(toPlace)
-	// Decide all destinations against stale loads first.
-	if cap(pr.cands) < toPlace {
-		pr.cands = make([]int, toPlace)
-	}
+	samples := pr.samples[:toPlace*d]
+	ldv := pr.ldv[:toPlace*d]
+	pr.rng.FillIntn(samples, pr.n)
+	pr.store.Gather(samples, ldv)
 	dests := pr.cands[:toPlace]
-	for b := 0; b < toPlace; b++ {
-		pr.rng.FillIntn(pr.samples, pr.n)
-		dests[b] = pr.gatherArgmin(nonce, b, 1)
+	for b := range dests {
+		dests[b] = argminLdv(samples[b*d:(b+1)*d], ldv[b*d:(b+1)*d], nonce, b)
 	}
-	pr.applyStaleDests(dests, placed, heights)
-}
-
-// applyStaleDests commits the round's decisions in ball order (the
-// round-synchronous update) and accounts messages. Unobserved rounds use
-// the store-specific batch increment (dests is already the plain bin list
-// BulkAdd wants); observed rounds record per-ball heights.
-func (pr *Process) applyStaleDests(dests, placed, heights []int) {
+	placed, heights := pr.beginObs(toPlace)
 	if placed == nil {
 		pr.store.BulkAdd(dests)
-		pr.balls += len(dests)
+		pr.balls += toPlace
 	} else {
 		for i, dst := range dests {
-			h := pr.place(dst)
 			placed[i] = dst
-			heights[i] = h
+			heights[i] = pr.place(dst)
 		}
 	}
-	pr.messages += int64(len(dests)) * int64(pr.p.D)
+	pr.messages += int64(toPlace) * int64(d)
 	pr.notify(nil, placed, heights)
 }

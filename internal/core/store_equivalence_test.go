@@ -148,38 +148,68 @@ func TestStorePolicyBitIdentityProperty(t *testing.T) {
 	}
 }
 
-// TestStaleBatchShardedMatchesSerial pins the sharded round engine: for
-// every store and several shard counts, the sharded StaleBatch process is
-// bit-identical to the serial one (all randomness is drawn serially up
-// front; only the read-only decision phase fans out). Run under -race in CI
-// to prove the decision phase never races the store.
+// TestStaleBatchShardedMatchesSerial pins the one StaleBatch round, which
+// draws every ball's samples with one fill and gathers all k·D loads at
+// once, against blockOracle, which draws and decides per ball from the
+// definitions. On every exact store: 10 full rounds plus a partial one,
+// then a mid-run Reset and the same again. (The name predates the removal
+// of the sharded StaleBatch round; the serial round is now the only one.)
 func TestStaleBatchShardedMatchesSerial(t *testing.T) {
-	for _, store := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble, loadvec.StoreSketch} {
-		for _, shards := range []int{2, 3, 8} {
-			const seed = 777
-			p := Params{N: 96, K: 32, D: 3, Store: store}
-			ref := MustNew(StaleBatch, p, xrand.New(seed))
-			p.Shards = shards
-			got := MustNew(StaleBatch, p, xrand.New(seed))
-			// 10 full rounds plus a partial one (m not divisible by k).
-			const m = 32*10 + 7
-			ref.Place(m)
+	const seed, k, m = 777, 32, 32*10 + 7 // m is not a multiple of k
+	for _, store := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble} {
+		p := Params{N: 96, K: k, D: 3, Store: store}
+		got := MustNew(StaleBatch, p, xrand.New(seed))
+		o := &blockOracle{policy: StaleBatch, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
+		for leg := 0; leg < 2; leg++ {
+			if leg > 0 {
+				got.Reset()
+				o.reset()
+			}
 			got.Place(m)
-			stateEqual(t, store.String(), ref, got)
+			o.place(m)
+			loads := got.Loads()
+			for b, want := range o.loads {
+				if loads[b] != want {
+					t.Fatalf("%s/leg=%d: bin %d load %d, oracle %d", store, leg, b, loads[b], want)
+				}
+			}
+			if got.Balls() != m || got.Messages() != int64(m)*3 || got.Rounds() != 11 {
+				t.Fatalf("%s/leg=%d: balls %d, messages %d, rounds %d; want %d, %d, 11", store, leg, got.Balls(), got.Messages(), got.Rounds(), m, m*3)
+			}
 		}
 	}
 }
 
-// TestStaleBatchShardedCompactMatchesSerial: sharded decisions over the
-// compact store stay bit-identical to the fully serial dense path.
+// TestStaleBatchShardedCompactMatchesSerial: StaleBatch runs on the serial
+// engine only. Shards 2, 3 and 8 are rejected on every store with an
+// error naming Shards and stale-batch, and Shards 0 and 1 build the same
+// serial process. (The name predates the removal of the sharded
+// StaleBatch round.)
 func TestStaleBatchShardedCompactMatchesSerial(t *testing.T) {
 	const seed, m = 4242, 515
-	ref := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4}, xrand.New(seed))
-	got := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4, Shards: 4, Store: loadvec.StoreCompact}, xrand.New(seed))
-	defer got.Close()
-	ref.Place(m)
-	got.Place(m)
-	stateEqual(t, "sharded+compact", ref, got)
+	for _, store := range shardStores {
+		p := Params{N: 128, K: 50, D: 4, Store: store}
+		for _, shards := range []int{2, 3, 8} {
+			p.Shards = shards
+			_, err := New(StaleBatch, p, xrand.New(seed))
+			if err == nil {
+				t.Fatalf("%s: stale-batch accepted Shards = %d", store, shards)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, "stale-batch") {
+				t.Fatalf("%s: Shards = %d error does not name Shards and stale-batch: %v", store, shards, err)
+			}
+		}
+		p.Shards = 0
+		ref := MustNew(StaleBatch, p, xrand.New(seed))
+		p.Shards = 1
+		got := MustNew(StaleBatch, p, xrand.New(seed))
+		if ref.shard != nil || got.shard != nil {
+			t.Fatalf("%s: stale-batch built a sharded engine", store)
+		}
+		ref.Place(m)
+		got.Place(m)
+		stateEqual(t, store.String(), ref, got)
+	}
 }
 
 // TestBlockEngineObserverSeesSamples: the pre-drawn rounds must hand the
@@ -197,8 +227,8 @@ func TestBlockEngineObserverSeesSamples(t *testing.T) {
 	}
 }
 
-// TestShardsValidation: the fixed-prologue policies may shard; the
-// data-dependent ones must reject Shards > 1.
+// TestShardsValidation: the fixed-prologue policies may shard; StaleBatch
+// and the data-dependent ones must reject Shards > 1.
 func TestShardsValidation(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
@@ -211,7 +241,7 @@ func TestShardsValidation(t *testing.T) {
 		{SingleChoice, Params{N: 8, Shards: 8}},
 		{OnePlusBeta, Params{N: 8, Beta: 0.5, Shards: 2}},
 		{OnePlusBeta, Params{N: 8, Beta: 0.5, D: 2, Shards: 2}},
-		{StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 4}},
+		{StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 1}},
 	} {
 		if err := Validate(tc.policy, tc.p); err != nil {
 			t.Fatalf("%v rejected Shards = %d: %v", tc.policy, tc.p.Shards, err)
@@ -228,10 +258,19 @@ func TestShardsValidation(t *testing.T) {
 		{ThresholdChoice, Params{N: 8, D: 2, Shards: 2}},
 		{SAx0, Params{N: 8, X0: 1, Shards: 2}},
 		{SingleChoice, Params{N: 8, Shards: 2, VecDims: 2}},
+		{StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 4}},
 	} {
 		if err := Validate(tc.policy, tc.p); err == nil {
 			t.Fatalf("%v accepted Shards = %d", tc.policy, tc.p.Shards)
 		}
+	}
+	// StaleBatch's serial round already gathers the whole round at once:
+	// an explicit shard count is an error naming both fields, not a
+	// silent serial run.
+	if err := Validate(StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 4}); err == nil {
+		t.Fatal("sharded stale-batch accepted")
+	} else if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, "stale-batch") {
+		t.Fatalf("sharded stale-batch error does not name Shards and stale-batch: %v", err)
 	}
 	if err := Validate(StaleBatch, Params{N: 8, K: 2, D: 2, Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
@@ -265,9 +304,10 @@ func TestSAx0LoadCountConsistentAcrossStores(t *testing.T) {
 }
 
 // TestRoundAllocationFreeEngines extends the zero-allocs-per-round pin to
-// the new engines: compact and histogram stores, and sharded StaleBatch
-// rounds (goroutine launches recycle g's, so the steady
-// state stays allocation-free).
+// the compact and histogram stores and to the one-gather StaleBatch round
+// (k·D samples drawn, gathered and decided in the process's own buffers)
+// on the dense and nibble stores, at k = 3, and on a compact array past
+// loadvec's huge-page threshold.
 func TestRoundAllocationFreeEngines(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -276,6 +316,10 @@ func TestRoundAllocationFreeEngines(t *testing.T) {
 	}{
 		{"kd/compact", KDChoice, Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreCompact}},
 		{"kd/hist", KDChoice, Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreHist}},
+		{"stale-batch/k=32,d=3", StaleBatch, Params{N: 4096, K: 32, D: 3}},
+		{"stale-batch/k=32,d=3/nibble", StaleBatch, Params{N: 4096, K: 32, D: 3, Store: loadvec.StoreNibble}},
+		{"stale-batch/k=3", StaleBatch, Params{N: 4096, K: 3, D: 3}},
+		{"stale-batch/k=32,d=3/compact/huge", StaleBatch, Params{N: 1 << 22, K: 32, D: 3, Store: loadvec.StoreCompact}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -233,40 +233,25 @@ dispatch:
 // Every config is validated before any work is dispatched; if a process
 // construction still fails inside a worker, dispatching stops at the first
 // error and RunAll returns it (no partially-zero results are ever returned).
+// Each process runs the engine its own config names: Shards 0 and 1 are
+// serial, and only an explicit Shards >= 2 starts a per-process worker
+// pool under the run pool.
 func RunAll(workers int, cfgs []Config) ([]*Result, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: RunAll needs at least one config")
 	}
 	results := make([]*Result, len(cfgs))
 	counts := make([]int, len(cfgs))
-	total := 0
 	for i, cfg := range cfgs {
 		if err := core.Validate(cfg.Policy, cfg.Params); err != nil {
 			return nil, fmt.Errorf("sim: invalid config %d: %w", i, err)
 		}
 		results[i] = newResult(cfg)
 		counts[i] = cfg.runs()
-		total += counts[i]
 	}
-	// When the run pool itself is parallel, resolve Shards=0 (auto) to
-	// serial inside each process: auto-sharding only engages for
-	// StaleBatch, whose sharded rounds are bit-identical to serial, so
-	// results are unchanged — but nesting a per-process worker pool under
-	// an already-saturated run pool would only oversubscribe the CPUs.
-	// An explicit Shards >= 2 is an opt-in and flows through untouched.
-	poolWorkers := workers
-	if poolWorkers <= 0 {
-		poolWorkers = runtime.GOMAXPROCS(0)
-	}
-	serializeAutoShards := poolWorkers > 1 && total > 1
-
 	err := RunTasks(workers, counts, func(cell, run int) error {
 		cfg := &results[cell].Config
-		params := cfg.Params
-		if serializeAutoShards && params.Shards == 0 {
-			params.Shards = 1
-		}
-		pr, err := newProcess(cfg.Policy, params, xrand.NewStream(cfg.Seed, uint64(run)))
+		pr, err := newProcess(cfg.Policy, cfg.Params, xrand.NewStream(cfg.Seed, uint64(run)))
 		if err != nil {
 			return err
 		}

@@ -361,26 +361,26 @@ type Config struct {
 	// SketchDepth is the count-min row count (independent hash rows, at
 	// most 8) when Store is StoreSketch; 0 applies the default (2).
 	SketchDepth int
-	// Shards engages the sharded superstep engine with this many workers:
-	// the workers claim a block's rounds from a shared cursor, a few at a
-	// time, and gather and decide them in one parallel phase against the
-	// block-start loads, and placements apply serially in round order. All
-	// randomness is pre-drawn in the serial stream order, so the stream
-	// never depends on the worker count; kd and fixed-σ kd-serialized draw
-	// the next block on one worker while the others decide. Results are
-	// bit-identical across ANY shard count >= 2. Relative to serial:
-	// StaleBatch and SingleChoice are bit-identical always; KDChoice, fixed-σ
-	// Serialized, DChoice, and CoarseDChoice are bit-identical at
+	// Shards >= 2 engages the sharded superstep engine with this many
+	// workers: the workers claim a block's rounds from a shared cursor, a
+	// few at a time, and gather and decide them in one parallel phase
+	// against the block-start loads, and placements apply serially in
+	// round order. All randomness is pre-drawn in the serial stream order,
+	// so the stream never depends on the worker count; kd and fixed-σ
+	// kd-serialized draw the next block on one worker while the others
+	// decide. Results are bit-identical across ANY shard count >= 2.
+	// Relative to serial: SingleChoice is bit-identical always; KDChoice,
+	// fixed-σ Serialized, DChoice, and CoarseDChoice are bit-identical at
 	// Block = 1 and otherwise see each round's loads as of its block
 	// start (the staleness horizon is exactly Block rounds); OnePlusBeta
 	// matches the serial law in distribution only, and shards at D <= 2
-	// only (its sharded prologue probes two bins). Policies with
-	// data-dependent draw patterns reject Shards > 1.
+	// only (its sharded prologue probes two bins). StaleBatch, whose
+	// serial round already gathers all of a round's probes in one pass,
+	// and the policies with data-dependent draw patterns reject
+	// Shards > 1.
 	//
-	// 0 = auto: GOMAXPROCS workers for StaleBatch (exact at any count),
-	// serial for every other policy — auto never changes the allocation
-	// law between hosts; sharding a staleness-coupled policy is an
-	// explicit opt-in.
+	// 0 (the default) and 1 run the serial engine for every policy, so the
+	// engine never depends on the host; sharding is an explicit opt-in.
 	Shards int
 	// Faults attaches a deterministic fault-injection plan (see
 	// ParseFaults and faults.go): seeded bin outages with recovery,

@@ -141,7 +141,8 @@ func TestAllocatorBlockBitIdentical(t *testing.T) {
 
 // TestShardsPublicSurface: the public config surfaces the core sharding
 // rules — fixed-prologue policies shard (KDChoice bit-identically to
-// serial at Block=1), adaptive policies still reject.
+// serial at Block=1), adaptive policies and StaleBatch reject, and
+// StaleBatch's default Shards runs serial.
 func TestShardsPublicSurface(t *testing.T) {
 	ref, err := New(Config{Bins: 16, K: 1, D: 2, Seed: 9})
 	if err != nil {
@@ -160,13 +161,18 @@ func TestShardsPublicSurface(t *testing.T) {
 	if _, err := New(Config{Bins: 16, K: 2, D: 4, Policy: AdaptiveKD, Shards: 2}); err == nil {
 		t.Fatal("AdaptiveKD accepted Shards > 1")
 	}
-	a, err := New(Config{Bins: 16, K: 4, D: 2, Policy: StaleBatch, Shards: 2})
+	if _, err := New(Config{Bins: 16, K: 4, D: 2, Policy: StaleBatch, Shards: 2}); err == nil {
+		t.Fatal("StaleBatch accepted Shards = 2")
+	} else if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, "stale-batch") {
+		t.Fatalf("sharded StaleBatch error does not name Shards and stale-batch: %v", err)
+	}
+	a, err := New(Config{Bins: 16, K: 4, D: 2, Policy: StaleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.PlaceAll()
 	if a.Balls() != 16 {
-		t.Fatalf("sharded StaleBatch placed %d balls", a.Balls())
+		t.Fatalf("StaleBatch placed %d balls", a.Balls())
 	}
 	a.Close()
 }
