@@ -21,6 +21,7 @@ func TestReadmeQuotesMatchBench(t *testing.T) {
 		scale7 = "place/kd/fast/n=10000000,k=2,d=64"
 		tail7  = ",warm=2000000,balls=4000000"
 		serve  = "serve/oneplusbeta/n=100000,d=2,beta=1,store=hist,churn=0.4"
+		evict  = serve + ",faults=fail:0.0005,200"
 	)
 	rows := []struct {
 		re, file, cell, field string
@@ -39,6 +40,8 @@ func TestReadmeQuotesMatchBench(t *testing.T) {
 		{`read it at \d+–(\d+) ns/round`, "BENCH_faults.json", "single/n=100000", "ns_per_op", "", 1},
 		{`tracked serving cell[^*]*\*\*([\d.]+)M\s+ops/sec`, "BENCH_serve.json", serve, "ops_per_sec", "", 1e6},
 		{`tracked serving cell[^*]*\*\*[\d.]+M\s+ops/sec, (\d+) allocs/op\*\*`, "BENCH_serve.json", serve, "allocs_per_op", "", 1},
+		{`tracked fail\+evict cells read \*\*(\d+) and`, "BENCH_faults.json", evict + "+loss:0.1+retry:2+evict", "ns_per_op", "", 1},
+		{`tracked fail\+evict cells read \*\*\d+ and (\d+) ns/op\*\*`, "BENCH_faults.json", evict + "+evict", "ns_per_op", "", 1},
 	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {

@@ -375,8 +375,8 @@ func TestStorageRecoverRepairsDroppedCopies(t *testing.T) {
 
 // TestFaultFrontierShape is a tiny smoke of the public frontier inputs:
 // gap inflation must be finite and the counters populated. The measured
-// full-size frontier lives in ROADMAP.md; internal/experiments has its
-// own test.
+// full-size frontier comes from `go run ./cmd/sweep -exp faults`;
+// internal/experiments has its own test.
 func TestFaultFrontierShape(t *testing.T) {
 	plan, err := ParseFaults("loss:0.4")
 	if err != nil {

@@ -346,17 +346,10 @@ type Process struct {
 	// SAx0 bookkeeping: loadCount[y] = number of bins with load exactly y.
 	loadCount []int
 
-	// Online-serving state (online.go). The ball registry is lazily
-	// allocated on the first Insert and recycled through a free list, so a
-	// steady-state churn workload allocates nothing per operation. A slot's
-	// generation increments on delete, which invalidates every outstanding
-	// handle to it.
-	ballBin  []int32
-	ballWt   []int32
-	ballGen  []uint32
-	ballVec  []float64 // flat live weight vectors (vector mode), dims per slot
-	ballFree []int32
-	live     int
+	// reg is the online ball registry (registry.go): it grows on the
+	// first Insert and recycles slots through its free list, so a
+	// steady-state churn workload allocates nothing per operation.
+	reg registry
 
 	// vec is the multidimensional bin state of vector-load mode (nil in
 	// scalar mode); the scalar store stays empty alongside it.
@@ -428,6 +421,7 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 		n:      p.N,
 	}
 	pr.pfBase, pr.pfBits = prefetchView(store)
+	pr.reg.init(p.N, p.VecDims, faultsActive(p) && p.Faults.Evict)
 	if faultsActive(p) {
 		// The injector's streams are split off the root stream WITHOUT
 		// advancing it.
@@ -802,12 +796,7 @@ func (pr *Process) Reset() {
 	pr.messages = 0
 	pr.discarded = 0
 	pr.rounds = 0
-	pr.ballBin = pr.ballBin[:0]
-	pr.ballWt = pr.ballWt[:0]
-	pr.ballGen = pr.ballGen[:0]
-	pr.ballVec = pr.ballVec[:0]
-	pr.ballFree = pr.ballFree[:0]
-	pr.live = 0
+	pr.reg.reset()
 	pr.curOp, pr.curWeight = OpInsert, 0
 	if pr.vec != nil {
 		pr.vec.Reset()

@@ -285,22 +285,20 @@ func (pr *Process) faultyThreshold() (int, int) {
 // evictBin is the EvictRecover hook (Injector.OnFail): every live ball
 // registered in the failing bin is re-placed through a degraded decision
 // — down bins, including the failing one, are invisible to its probes —
-// conserving total ball count and weight. Handles stay valid (the
-// generation is untouched). Round-mode processes have no registry, so
-// their balls stay pinned in down bins (documented; the serving layer is
-// where eviction is meaningful).
+// conserving total ball count and weight. The registry's eviction index
+// hands over exactly the bin's balls, in slot order. Handles stay valid
+// (the generation is untouched). Round-mode processes have no registry,
+// so their balls stay pinned in down bins (documented; the serving layer
+// is where eviction is meaningful).
 func (pr *Process) evictBin(bin int) {
-	for idx := range pr.ballBin {
-		if pr.ballWt[idx] <= 0 || int(pr.ballBin[idx]) != bin {
-			continue
-		}
+	for _, idx := range pr.reg.takeBin(bin) {
 		pr.flt.Counters.Evictions++
-		w := int(pr.ballWt[idx])
+		w := pr.reg.weight(idx)
 		pr.store.Sub(bin, w)
 		nb, probes := pr.decideFaulty()
 		pr.messages += int64(probes)
 		pr.store.AddN(nb, w)
-		pr.ballBin[idx] = int32(nb)
+		pr.reg.push(idx, nb)
 		pr.flt.Counters.Replacements++
 	}
 }

@@ -94,7 +94,7 @@ func (pr *Process) checkOnline() error {
 }
 
 // Live returns the number of live (inserted and not yet deleted) balls.
-func (pr *Process) Live() int { return pr.live }
+func (pr *Process) Live() int { return pr.reg.live }
 
 // LastOp returns the operation kind behind the most recent observer
 // notification. Observers read it synchronously from their callback.
@@ -104,59 +104,10 @@ func (pr *Process) LastOp() Op { return pr.curOp }
 // "one unit per placed ball" (the one-shot rounds, which never set it).
 func (pr *Process) LastOpWeight() int { return pr.curWeight }
 
-// Reserve pre-sizes the ball registry (and the free list) for n live
-// balls, so a serving loop of known size never grows a registry slice
-// mid-measurement. It never shrinks.
-func (pr *Process) Reserve(n int) {
-	if n <= cap(pr.ballBin) {
-		return
-	}
-	grow := func(s []int32) []int32 {
-		ns := make([]int32, len(s), n)
-		copy(ns, s)
-		return ns
-	}
-	pr.ballBin = grow(pr.ballBin)
-	pr.ballWt = grow(pr.ballWt)
-	ng := make([]uint32, len(pr.ballGen), n)
-	copy(ng, pr.ballGen)
-	pr.ballGen = ng
-	pr.ballFree = grow(pr.ballFree)
-	if pr.vec != nil {
-		nv := make([]float64, len(pr.ballVec), n*pr.p.VecDims)
-		copy(nv, pr.ballVec)
-		pr.ballVec = nv
-	}
-}
-
-// allocSlot takes a registry slot from the free list, growing the registry
-// when none is free.
-func (pr *Process) allocSlot() int32 {
-	if n := len(pr.ballFree); n > 0 {
-		idx := pr.ballFree[n-1]
-		pr.ballFree = pr.ballFree[:n-1]
-		return idx
-	}
-	pr.ballBin = append(pr.ballBin, 0)
-	pr.ballWt = append(pr.ballWt, 0)
-	pr.ballGen = append(pr.ballGen, 0)
-	if pr.vec != nil {
-		for c := 0; c < pr.p.VecDims; c++ {
-			pr.ballVec = append(pr.ballVec, 0)
-		}
-	}
-	return int32(len(pr.ballBin) - 1)
-}
-
-// resolve maps a handle to its registry slot, rejecting stale or foreign
-// handles.
-func (pr *Process) resolve(b Ball) (int32, error) {
-	idx := b.slot()
-	if b < 0 || int(idx) >= len(pr.ballBin) || pr.ballGen[idx] != b.gen() {
-		return 0, fmt.Errorf("core: ball handle %#x is not live", int64(b))
-	}
-	return idx, nil
-}
+// Reserve pre-sizes the ball registry for n live balls, so a serving loop
+// of known size never grows a registry slice mid-measurement. It never
+// shrinks.
+func (pr *Process) Reserve(n int) { pr.reg.reserve(n) }
 
 // decide runs one placement decision of the per-ball policy family and
 // returns the chosen bin plus the number of bins probed. In scalar mode the
@@ -316,14 +267,11 @@ func (pr *Process) InsertW(w int) (Ball, error) {
 	h := pr.store.AddN(bin, w)
 	pr.balls++
 	pr.messages += int64(probes)
-	idx := pr.allocSlot()
-	pr.ballBin[idx] = int32(bin)
-	pr.ballWt[idx] = int32(w)
-	pr.live++
+	idx := pr.reg.add(bin, w)
 	if pr.obs != nil {
 		pr.notifyOp(OpInsert, w, pr.obsSamples(), []int{bin}, []int{h})
 	}
-	return makeBall(idx, pr.ballGen[idx]), nil
+	return pr.reg.handle(idx), nil
 }
 
 // InsertVec places one ball carrying the weight vector w (len VecDims,
@@ -345,40 +293,31 @@ func (pr *Process) InsertVec(w []float64) (Ball, error) {
 	pr.vec.AddVec(bin, w)
 	pr.balls++
 	pr.messages += int64(probes)
-	idx := pr.allocSlot()
-	pr.ballBin[idx] = int32(bin)
-	pr.ballWt[idx] = 1
-	copy(pr.ballVec[int(idx)*pr.p.VecDims:], w)
-	pr.live++
+	idx := pr.reg.add(bin, 1)
+	copy(pr.reg.vecOf(idx), w)
 	if pr.obs != nil {
 		pr.notifyOp(OpInsert, 1, pr.obsSamples(), []int{bin}, nil)
 	}
-	return makeBall(idx, pr.ballGen[idx]), nil
+	return pr.reg.handle(idx), nil
 }
 
 // Delete removes a live ball, draining its weight from its bin with full
 // aggregate bookkeeping (MaxLoad, Gap and ν_y stay correct as the bin
 // drains). The handle becomes invalid; its registry slot is recycled.
 func (pr *Process) Delete(b Ball) error {
-	idx, err := pr.resolve(b)
+	idx, err := pr.reg.resolve(b)
 	if err != nil {
 		return err
 	}
 	pr.faultTick()
-	bin := int(pr.ballBin[idx])
-	w := int(pr.ballWt[idx])
+	bin := pr.reg.bin(idx)
+	w := pr.reg.weight(idx)
 	if pr.vec != nil {
-		pr.vec.SubVec(bin, pr.ballVec[int(idx)*pr.p.VecDims:(int(idx)+1)*pr.p.VecDims])
+		pr.vec.SubVec(bin, pr.reg.vecOf(idx))
 	} else {
 		pr.store.Sub(bin, w)
 	}
-	pr.ballGen[idx]++
-	// A zero weight marks the slot dead: ballWt > 0 ⇔ live, the
-	// invariant the eviction scan (faults.go) and the conservation
-	// property tests rely on.
-	pr.ballWt[idx] = 0
-	pr.ballFree = append(pr.ballFree, idx)
-	pr.live--
+	pr.reg.release(idx)
 	pr.balls--
 	pr.rounds++
 	if pr.obs != nil {
@@ -389,21 +328,21 @@ func (pr *Process) Delete(b Ball) error {
 
 // BallBin returns the bin currently holding a live ball.
 func (pr *Process) BallBin(b Ball) (int, error) {
-	idx, err := pr.resolve(b)
+	idx, err := pr.reg.resolve(b)
 	if err != nil {
 		return 0, err
 	}
-	return int(pr.ballBin[idx]), nil
+	return pr.reg.bin(idx), nil
 }
 
 // BallWeight returns a live ball's scalar weight (1 for vector-mode
 // balls).
 func (pr *Process) BallWeight(b Ball) (int, error) {
-	idx, err := pr.resolve(b)
+	idx, err := pr.reg.resolve(b)
 	if err != nil {
 		return 0, err
 	}
-	return int(pr.ballWt[idx]), nil
+	return pr.reg.weight(idx), nil
 }
 
 // Rebalance re-probes for a live ball using the policy's decision rule and
@@ -412,19 +351,19 @@ func (pr *Process) BallWeight(b Ball) (int, error) {
 // Probes are charged at the policy's rate; a migration is one extra
 // message.
 func (pr *Process) Rebalance(b Ball) (bool, error) {
-	idx, err := pr.resolve(b)
+	idx, err := pr.reg.resolve(b)
 	if err != nil {
 		return false, err
 	}
 	pr.faultTick()
-	cur := int(pr.ballBin[idx])
+	cur := pr.reg.bin(idx)
 	pr.rounds++
 	best, probes := pr.decide()
 	pr.messages += int64(probes)
 	moved := false
 	if best != cur {
 		if pr.vec != nil {
-			w := pr.ballVec[int(idx)*pr.p.VecDims : (int(idx)+1)*pr.p.VecDims]
+			w := pr.reg.vecOf(idx)
 			agg := pr.vec.RawAgg()
 			// Move iff the destination is strictly less loaded than the
 			// source even after receiving the ball's aggregate weight.
@@ -434,7 +373,7 @@ func (pr *Process) Rebalance(b Ball) (bool, error) {
 				moved = true
 			}
 		} else {
-			w := int(pr.ballWt[idx])
+			w := pr.reg.weight(idx)
 			if pr.store.Load(best)+w < pr.store.Load(cur) {
 				pr.store.Sub(cur, w)
 				pr.store.AddN(best, w)
@@ -443,7 +382,7 @@ func (pr *Process) Rebalance(b Ball) (bool, error) {
 		}
 	}
 	if moved {
-		pr.ballBin[idx] = int32(best)
+		pr.reg.move(idx, best)
 		pr.messages++
 	}
 	if pr.obs != nil {
@@ -451,7 +390,7 @@ func (pr *Process) Rebalance(b Ball) (bool, error) {
 		if moved {
 			placed = []int{best}
 		}
-		pr.notifyOp(OpRebalance, int(pr.ballWt[idx]), pr.obsSamples(), placed, nil)
+		pr.notifyOp(OpRebalance, pr.reg.weight(idx), pr.obsSamples(), placed, nil)
 	}
 	return moved, nil
 }

@@ -107,8 +107,10 @@ go run ./cmd/bench -quick -grid scale -store nibble -out ''
 
 echo "==> faults smoke: degraded round + serving runs via kdsim (deterministic fault layer)"
 go run ./cmd/kdsim -n 4096 -k 2 -d 8 -runs 2 -faults fail:0.001,100+loss:0.2+retry:2
+# Low churn keeps balls live while bins fail, so the serving run evicts
+# (about 150 evictions over its two runs).
 go run ./cmd/kdsim -n 2048 -m 10000 -d 2 -beta 1 -runs 2 -store hist \
-    -churn poisson:0.4 -faults loss:0.1+retry:2+evict
+    -churn poisson:0.0005 -faults fail:0.01,100+loss:0.1+retry:2+evict
 
 echo "==> serve smoke: churned weighted study via kdsim (deterministic online path)"
 go run ./cmd/kdsim -n 4096 -m 20000 -d 2 -beta 1 -runs 2 \
