@@ -238,11 +238,13 @@ func grid(name string, quick bool) []cell {
 	case "serve":
 		// The acceptance cell rides the histogram store's O(1) amortized
 		// deletes; then the store and β ablations, the insert-only baseline
-		// and the weighted-add kernel.
+		// and the weighted-add kernel. The compact cell is the only tracked
+		// one that serves on the escape-cell store (its AddN, Sub and
+		// rescanMax), so it is ratcheted too.
 		cells = append(cells,
 			ratchet(serve(1, 0.4, 0, kdchoice.StoreHist, "")),
 			serve(1, 0.4, 0, kdchoice.StoreDense, ""),
-			serve(1, 0.4, 0, kdchoice.StoreCompact, ""),
+			ratchet(serve(1, 0.4, 0, kdchoice.StoreCompact, "")),
 			serve(0.5, 0.4, 0, kdchoice.StoreHist, ""),
 			serve(1, 0, 0, kdchoice.StoreHist, ""),
 			serve(1, 0.4, 8, kdchoice.StoreHist, ""),

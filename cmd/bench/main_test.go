@@ -77,7 +77,8 @@ func validConfig(c cell) error {
 // acceptance cells (k=2 rounds take the selector's small-k path), the flat
 // ranker and counting-path shapes, the per-ball argmin (d-choice and the
 // serial StaleBatch round), the serving and faulty serving acceptance
-// cells, and the n=1e8 nibble cell with its bytes/bin budget.
+// cells, the compact serving cell (the escape-cell store's AddN, Sub and
+// rescanMax), and the n=1e8 nibble cell with its bytes/bin budget.
 func TestRatchetCells(t *testing.T) {
 	want := []string{
 		"kd/fast/n=100000,k=2,d=64",
@@ -87,6 +88,7 @@ func TestRatchetCells(t *testing.T) {
 		"dchoice/n=100000,d=2",
 		"stale-batch/n=100000,k=8,d=2",
 		"serve/oneplusbeta/n=100000,d=2,beta=1,store=hist,churn=0.4",
+		"serve/oneplusbeta/n=100000,d=2,beta=1,store=compact,churn=0.4",
 		"place/kd/fast/n=100000000,k=2,d=64,store=nibble,warm=0,balls=20000000",
 		"serve/oneplusbeta/n=100000,d=2,beta=1,store=hist,churn=0.4,faults=fail:0.0005,200+loss:0.1+retry:2+evict",
 	}

@@ -1,12 +1,12 @@
 // Command experiments runs the complete evaluation suite of the
 // reproduction and emits a Markdown report with one section per paper
 // table/figure/claim, each showing the paper's statement next to the
-// measured outcome. EXPERIMENTS.md in the repository root is the checked-in
-// output of this command.
+// measured outcome. The report is printed to stdout and is not checked in;
+// redirect it to keep a copy.
 //
 // Usage:
 //
-//	experiments [-scale full|paper] [-seed 1] > EXPERIMENTS.md
+//	experiments [-scale quick|full|paper] [-seed 1] > EXPERIMENTS.md
 //
 // -scale paper uses the paper's n = 196608 for Table 1 (minutes of CPU);
 // -scale full (default) uses paper scale for Table 1 but moderates the

@@ -138,7 +138,7 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, presized map
 	}
 	if tv.IsType() {
 		// Explicit conversion T(x): flag when T is an interface.
-		if _, isIface := tv.Type.Underlying().(*types.Interface); isIface && len(call.Args) == 1 {
+		if isInterface(tv.Type) && len(call.Args) == 1 {
 			checkIfaceConvert(pass, fd, tv.Type, call.Args[0])
 		}
 		return
@@ -172,7 +172,7 @@ func checkIfaceConvert(pass *Pass, fd *ast.FuncDecl, dst types.Type, arg ast.Exp
 	if dst == nil {
 		return
 	}
-	if _, isIface := dst.Underlying().(*types.Interface); !isIface {
+	if !isInterface(dst) {
 		return
 	}
 	tv, ok := pass.Info.Types[arg]
@@ -182,12 +182,52 @@ func checkIfaceConvert(pass *Pass, fd *ast.FuncDecl, dst types.Type, arg ast.Exp
 	if tv.IsNil() {
 		return
 	}
-	if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
+	if isInterface(tv.Type) {
 		return
 	}
 	// Untyped constants assigned to interfaces still box, but a typed
 	// check reads better in the message.
 	pass.Reportf(arg.Pos(), "implicit conversion of %s to interface %s in hot path %s boxes the value on the heap", tv.Type, dst, fd.Name.Name)
+}
+
+// isInterface reports whether a value of type t can be an interface value.
+// A type parameter's underlying type is its constraint, which is always an
+// interface, so a type parameter counts as one only when its type set can
+// hold an interface: a constraint such as ~uint8 | ~uint16 makes every
+// value a plain integer (converting to it boxes nothing, and passing it to
+// an interface boxes), while any or a method-only constraint admits
+// interface type arguments.
+func isInterface(t types.Type) bool {
+	if tp, ok := t.(*types.TypeParam); ok {
+		return typeSetHoldsInterface(tp.Constraint())
+	}
+	_, ok := t.Underlying().(*types.Interface)
+	return ok
+}
+
+// typeSetHoldsInterface reports whether the type set of constraint element
+// t contains an interface type: t is an interface whose every embedded
+// element holds one (so one with no type terms does), or a union with a
+// term that does.
+func typeSetHoldsInterface(t types.Type) bool {
+	if u, ok := t.(*types.Union); ok {
+		for i := 0; i < u.Len(); i++ {
+			if typeSetHoldsInterface(u.Term(i).Type()) {
+				return true
+			}
+		}
+		return false
+	}
+	iface, ok := t.Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		if !typeSetHoldsInterface(iface.EmbeddedType(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // presizedSlices collects the variables an append may safely target: the

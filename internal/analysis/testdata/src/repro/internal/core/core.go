@@ -58,6 +58,25 @@ func hotBox(v int) any {
 	return box(v) // want `implicit conversion of int to interface`
 }
 
+// cellWord constrains by element types: its type set holds no interface,
+// so a value of a type parameter it constrains is never an interface value.
+type cellWord interface {
+	~uint8 | ~uint16
+}
+
+// hotSetCell converts to such a type parameter: a plain integer
+// conversion, no finding.
+//
+//kd:hotpath
+func hotSetCell[E cellWord](c []E, i, v int) {
+	c[i] = E(v)
+}
+
+//kd:hotpath
+func hotBoxCell[E cellWord](c []E, i int) any {
+	return box(c[i]) // want `implicit conversion of E to interface`
+}
+
 // hotAllowed shows a justified suppression: the finding is silenced.
 //
 //kd:hotpath

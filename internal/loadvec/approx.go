@@ -2,12 +2,9 @@ package loadvec
 
 // This file holds the sub-byte stores behind the 10⁸-10⁹-bin regime:
 //
-//   - NibbleStore: 4 bits per bin (two bins per byte, ~0.5 B/bin) with the
-//     same lossless overflow escape as CompactStore — a cell that reaches
-//     load 15 moves to a wide side table and is reclaimed when it drains
-//     back under the sentinel. The store stays EXACT at every magnitude;
-//     the paper's regimes (Theorems 1-2) keep loads far below 15, so the
-//     side table stays empty in practice.
+//   - NibbleStore: 4 bits per bin (two bins per byte, ~0.5 B/bin), EXACT
+//     at every magnitude: it is the escape-cell store of escape.go at the
+//     4-bit width, sharing every method with CompactStore.
 //   - SketchStore: the count-min approximate store (internal/sketch) —
 //     configurable depth x width saturating uint8 counters, <0.5 B/bin at
 //     the default geometry. Loads are ONE-SIDED ESTIMATES: Load/MaxLoad/
@@ -28,298 +25,16 @@ import (
 // load lives in the wide side table.
 const nibbleEscape = 0xF
 
-// NibbleStore packs two bins per byte; cells that reach load 15 escape to
-// a wide side table. Loads stay exact at every magnitude.
-type NibbleStore struct {
-	packed []uint8 // bin b occupies bits [4*(b&1), 4*(b&1)+4) of packed[b>>1]
-	wide   map[int]int
-	n      int
-	max    int
-	balls  int
-}
+// NibbleStore packs two 4-bit cells per byte (~0.5 B/bin); a cell that
+// reaches load 15 escapes to the wide side table of the escape-cell store
+// it embeds (escape.go). Loads stay exact at every magnitude.
+type NibbleStore struct{ escStore[uint8] }
 
 // NewNibble returns an empty nibble-packed store over n bins.
-func NewNibble(n int) *NibbleStore {
-	s := &NibbleStore{packed: make([]uint8, (n+1)/2), wide: make(map[int]int), n: n}
-	adviseHuge(s.packed)
-	return s
-}
+func NewNibble(n int) *NibbleStore { return &NibbleStore{newEscStore[uint8](n)} }
 
 // Kind implements Store.
 func (s *NibbleStore) Kind() StoreKind { return StoreNibble }
-
-// Len implements Store.
-func (s *NibbleStore) Len() int { return s.n }
-
-// nib reads bin's packed cell (possibly the escape sentinel).
-//
-//kd:hotpath
-func (s *NibbleStore) nib(bin int) int {
-	return int(s.packed[bin>>1]>>((bin&1)<<2)) & 0xF
-}
-
-// setNib overwrites bin's packed cell with v in [0, 15].
-//
-//kd:hotpath
-func (s *NibbleStore) setNib(bin, v int) {
-	sh := uint(bin&1) << 2
-	s.packed[bin>>1] = s.packed[bin>>1]&^(0xF<<sh) | uint8(v)<<sh
-}
-
-// Load implements Store. The non-escaped fast path is small enough to
-// inline into callers; the wide-table lookup is outlined so the map access
-// cannot blow the inlining budget.
-//
-//kd:hotpath
-func (s *NibbleStore) Load(bin int) int {
-	if v := int(s.packed[bin>>1]>>((bin&1)<<2)) & 0xF; v != nibbleEscape {
-		return v
-	}
-	return s.loadWide(bin)
-}
-
-// Gather implements Store: one shift+mask unpack per read, escape cells
-// deferring to the wide side table.
-//
-//kd:hotpath
-func (s *NibbleStore) Gather(bins, loads []int) {
-	packed, wide := s.packed, s.wide
-	loads = loads[:len(bins)]
-	for i, b := range bins {
-		v := int(packed[b>>1]>>((b&1)<<2)) & 0xF
-		if v == nibbleEscape {
-			v = wide[b]
-		}
-		loads[i] = v
-	}
-}
-
-// loadWide returns the load of an escaped cell from the wide side table.
-//
-//kd:hotpath
-func (s *NibbleStore) loadWide(bin int) int { return s.wide[bin] }
-
-// Add implements Store. Like Load, the in-range increment stays inlinable
-// and the escape transitions are outlined into addEscaped.
-//
-//kd:hotpath
-func (s *NibbleStore) Add(bin int) int {
-	if v := s.nib(bin); v < nibbleEscape-1 {
-		v++
-		s.setNib(bin, v)
-		if v > s.max {
-			s.max = v
-		}
-		s.balls++
-		return v
-	}
-	return s.addEscaped(bin)
-}
-
-// addEscaped handles the two escape cases of Add — the cell is already
-// wide, or this increment reaches the escape sentinel and moves it to the
-// wide table — including the aggregate bookkeeping.
-//
-//kd:hotpath
-func (s *NibbleStore) addEscaped(bin int) int {
-	h := nibbleEscape
-	if s.nib(bin) == nibbleEscape {
-		h = s.wide[bin] + 1
-		s.wide[bin] = h
-	} else {
-		s.setNib(bin, nibbleEscape)
-		s.wide[bin] = nibbleEscape
-	}
-	if h > s.max {
-		s.max = h
-	}
-	s.balls++
-	return h
-}
-
-// AddN implements Store: a weighted add that stays in the packed cell
-// whenever the result still fits under the escape sentinel, escaping
-// otherwise.
-//
-//kd:hotpath
-func (s *NibbleStore) AddN(bin, w int) int {
-	checkWeight(w)
-	if v := s.nib(bin); v != nibbleEscape && v+w < nibbleEscape {
-		h := v + w
-		s.setNib(bin, h)
-		if h > s.max {
-			s.max = h
-		}
-		s.balls += w
-		return h
-	}
-	return s.addNEscaped(bin, w)
-}
-
-// addNEscaped handles the wide-table cases of AddN: the cell is already
-// escaped, or this weighted add pushes it to (or past) the sentinel.
-//
-//kd:hotpath
-func (s *NibbleStore) addNEscaped(bin, w int) int {
-	var h int
-	if s.nib(bin) == nibbleEscape {
-		h = s.wide[bin] + w
-	} else {
-		h = s.nib(bin) + w
-		s.setNib(bin, nibbleEscape)
-	}
-	s.wide[bin] = h
-	if h > s.max {
-		s.max = h
-	}
-	s.balls += w
-	return h
-}
-
-// Sub implements Store. A wide cell that drains back under the escape
-// sentinel is reclaimed into its packed cell and removed from the side
-// table — the same no-leak discipline as CompactStore.Sub. Draining the
-// maximum triggers a full rescan (HistStore remains the deletion-heavy
-// choice).
-//
-//kd:hotpath
-func (s *NibbleStore) Sub(bin, w int) int {
-	checkWeight(w)
-	old := s.Load(bin)
-	v := old - w
-	if v < 0 {
-		panic("loadvec: Sub below zero load")
-	}
-	if s.nib(bin) == nibbleEscape {
-		if v < nibbleEscape {
-			// The cell fits in 4 bits again: reclaim it losslessly.
-			delete(s.wide, bin)
-			s.setNib(bin, v)
-		} else {
-			s.wide[bin] = v
-		}
-	} else {
-		s.setNib(bin, v)
-	}
-	s.balls -= w
-	if w > 0 && old == s.max {
-		s.max = s.rescanMax()
-	}
-	return v
-}
-
-// BulkAdd implements Store: in-range cells increment with the max counter
-// in a register; escaped cells fall back to addEscaped.
-//
-//kd:hotpath
-func (s *NibbleStore) BulkAdd(bins []int) {
-	max := s.max
-	balls := s.balls
-	for _, b := range bins {
-		if v := s.nib(b); v < nibbleEscape-1 {
-			s.setNib(b, v+1)
-			if v+1 > max {
-				max = v + 1
-			}
-			balls++
-			continue
-		}
-		// Escape transition: flush the register copies so addEscaped sees
-		// consistent state, then reload them.
-		s.max, s.balls = max, balls
-		s.addEscaped(b)
-		max, balls = s.max, s.balls
-	}
-	s.max = max
-	s.balls = balls
-}
-
-// Set implements Store.
-func (s *NibbleStore) Set(bin, load int) {
-	old := s.Load(bin)
-	if s.nib(bin) == nibbleEscape {
-		delete(s.wide, bin)
-	}
-	if load >= nibbleEscape {
-		s.setNib(bin, nibbleEscape)
-		s.wide[bin] = load
-	} else {
-		s.setNib(bin, load)
-	}
-	s.balls += load - old
-	switch {
-	case load > s.max:
-		s.max = load
-	case old == s.max && load < old:
-		s.max = s.rescanMax()
-	}
-}
-
-func (s *NibbleStore) rescanMax() int {
-	m := 0
-	for bin := 0; bin < s.n; bin++ {
-		if v := s.Load(bin); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxLoad implements Store.
-func (s *NibbleStore) MaxLoad() int { return s.max }
-
-// Balls implements Store.
-func (s *NibbleStore) Balls() int { return s.balls }
-
-// NuY implements Store.
-func (s *NibbleStore) NuY(y int) int {
-	if y <= 0 {
-		return s.n
-	}
-	c := 0
-	if y >= nibbleEscape {
-		// Only escaped cells can hold loads this large.
-		for _, v := range s.wide {
-			if v >= y {
-				c++
-			}
-		}
-		return c
-	}
-	for bin := 0; bin < s.n; bin++ {
-		if s.nib(bin) >= y {
-			c++ // escaped cells (nib == 15) hold >= 15 >= y
-		}
-	}
-	return c
-}
-
-// Vector implements Store.
-func (s *NibbleStore) Vector() Vector {
-	out := make(Vector, s.n)
-	for i := range out {
-		out[i] = s.Load(i)
-	}
-	return out
-}
-
-// Reset implements Store.
-func (s *NibbleStore) Reset() {
-	for i := range s.packed {
-		s.packed[i] = 0
-	}
-	s.wide = make(map[int]int)
-	s.max, s.balls = 0, 0
-}
-
-// BytesPerBin implements Store.
-func (s *NibbleStore) BytesPerBin() float64 {
-	// ~48 bytes per escaped entry is a conservative map-overhead estimate.
-	return 0.5 + float64(len(s.wide)*48)/float64(s.n)
-}
-
-// Escaped returns the number of bins currently in the wide side table.
-func (s *NibbleStore) Escaped() int { return len(s.wide) }
 
 // SketchStore is the count-min approximate store: Load returns a one-sided
 // overestimate (never below the bin's true load), Balls stays exact, and
@@ -437,9 +152,7 @@ func (s *SketchStore) BulkAdd(bins []int) {
 // need an exact store; Set here keeps the Store contract total for generic
 // store-iterating tests.
 func (s *SketchStore) Set(bin, load int) {
-	if load < 0 {
-		panic("loadvec: negative load")
-	}
+	checkLoad(load)
 	old := s.cm.Estimate(bin)
 	switch {
 	case load > old:

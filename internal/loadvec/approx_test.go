@@ -13,7 +13,7 @@ func TestNibblePacking(t *testing.T) {
 	s.AddN(0, 3)
 	s.AddN(1, 5)
 	s.AddN(4, 14)
-	packed, wide := s.packed, s.wide
+	packed, wide := s.cells, s.wide
 	if len(packed) != 3 {
 		t.Fatalf("packed length %d, want 3 bytes for 6 bins", len(packed))
 	}
@@ -27,7 +27,7 @@ func TestNibblePacking(t *testing.T) {
 		t.Fatalf("wide table has %d entries before any escape", len(wide))
 	}
 	s.Add(4) // 14 -> 15: escapes
-	packed, wide = s.packed, s.wide
+	packed, wide = s.cells, s.wide
 	if packed[2]&0xF != nibbleEscape {
 		t.Fatalf("bin 4 cell = %#x, want escape sentinel", packed[2]&0xF)
 	}
@@ -69,7 +69,10 @@ type escapeStore interface {
 // Add/AddN/Sub/BulkAdd/Set traffic that repeatedly crosses the
 // escape boundary must leave the wide side table holding EXACTLY the bins
 // whose load is at or above the sentinel — no leaked entries from bins
-// that drained back, for either escape store.
+// that drained back, for either escape store. The aggregates are checked
+// against the shadow after every step too: MaxLoad (whose rescan after a
+// drained maximum may read only the wide table while it is non-empty),
+// Balls, and NuY on both sides of the sentinel.
 func TestEscapeNeverLeaks(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -126,6 +129,17 @@ func TestEscapeNeverLeaks(t *testing.T) {
 				}
 				if got := s.Vector(); !reflect.DeepEqual([]int(got), shadow) {
 					t.Fatalf("step %d: Vector() = %v, want %v", step, got, shadow)
+				}
+				if got, want := s.MaxLoad(), Vector(shadow).Max(); got != want {
+					t.Fatalf("step %d: MaxLoad() = %d, want %d (loads %v)", step, got, want, shadow)
+				}
+				if got, want := s.Balls(), Vector(shadow).Total(); got != want {
+					t.Fatalf("step %d: Balls() = %d, want %d", step, got, want)
+				}
+				for _, y := range []int{1, tc.sentinel - 1, tc.sentinel, tc.sentinel + 1} {
+					if got, want := s.NuY(y), Vector(shadow).NuY(y); got != want {
+						t.Fatalf("step %d: NuY(%d) = %d, want %d (loads %v)", step, y, got, want, shadow)
+					}
 				}
 			}
 		})

@@ -5,23 +5,23 @@ package loadvec
 // aggregate statistics the processes and experiments query after (or during)
 // a run: maximum load, total balls, and the occupancy counts ν_y.
 //
-// Five implementations exist, selectable per run (the two sub-byte stores
-// live in approx.go):
+// Five implementations exist, selectable per run:
 //
 //   - DenseStore: the reference representation, one int per bin (8 B/bin).
-//   - CompactStore: one uint16 per bin (2 B/bin) with an overflow escape —
-//     a cell that reaches load 65535 is marked escaped and its true load
-//     moves to a wide side table. The paper's regimes keep loads tiny
-//     (Theorems 1-2: O(ln ln n) or m/n + O(1)), so in practice the side
-//     table stays empty and a 10⁸-bin run fits in ~200 MB instead of 800.
+//   - CompactStore and NibbleStore: one uint16 cell per bin (2 B/bin) or
+//     two 4-bit cells per byte (~0.5 B/bin), one implementation whose only
+//     parameter is the cell width (escape.go). A cell that reaches its
+//     sentinel (65535 or 15) escapes losslessly to a wide side table. The
+//     paper's regimes keep loads tiny (Theorems 1-2: O(ln ln n) or
+//     m/n + O(1)), so in practice the side table stays empty and a 10⁸-bin
+//     run fits in ~200 MB (compact) or ~50 MB (nibble) instead of 800.
 //   - HistStore: int32 loads (4 B/bin) plus a maintained load histogram
 //     (count[y] = bins with load exactly y), giving MaxLoad, Gap and NuY
 //     without ever scanning the n bins — NuY costs O(max load − y), and max
 //     load in the processes studied here is tiny compared to n.
-//   - NibbleStore: 4 bits per bin (~0.5 B/bin) with the same lossless
-//     escape discipline as CompactStore at sentinel load 15; still exact.
-//   - SketchStore: count-min counters (<0.5 B/bin at the default geometry);
-//     loads become one-sided overestimates, the ball counter stays exact.
+//   - SketchStore (approx.go): count-min counters (<0.5 B/bin at the
+//     default geometry); loads become one-sided overestimates, the ball
+//     counter stays exact.
 //
 // Every store except SketchStore is exact: loads never saturate or
 // approximate, so every process produces bit-identical results on every
@@ -204,6 +204,15 @@ func checkWeight(w int) {
 	}
 }
 
+// checkLoad rejects negative loads for Set: an escape store would write its
+// sentinel with no wide entry, the hist store would index its histogram
+// below zero, and every store's ball counter would go negative.
+func checkLoad(load int) {
+	if load < 0 {
+		panic("loadvec: negative load")
+	}
+}
+
 // DenseStore is the reference representation: one int per bin.
 type DenseStore struct {
 	loads []int
@@ -232,7 +241,7 @@ func (s *DenseStore) Load(bin int) int { return s.loads[bin] }
 // Gather implements Store.
 //
 //kd:hotpath
-func (s *DenseStore) Gather(bins, loads []int) { gatherCells(bins, loads, s.loads, -1, nil) }
+func (s *DenseStore) Gather(bins, loads []int) { gatherCells(bins, loads, s.loads) }
 
 // Add implements Store.
 //
@@ -301,6 +310,7 @@ func (s *DenseStore) BulkAdd(bins []int) {
 
 // Set implements Store.
 func (s *DenseStore) Set(bin, load int) {
+	checkLoad(load)
 	old := s.loads[bin]
 	s.loads[bin] = load
 	s.balls += load - old
@@ -339,279 +349,16 @@ func (s *DenseStore) BytesPerBin() float64 { return 8 }
 // lives in the wide side table.
 const escape16 = math.MaxUint16
 
-// CompactStore holds one uint16 per bin; cells that reach load 65535 escape
-// to a wide side table. Loads stay exact at every magnitude.
-type CompactStore struct {
-	small []uint16
-	wide  map[int]int
-	max   int
-	balls int
-}
+// CompactStore holds one uint16 cell per bin (2 B/bin); a cell that
+// reaches load 65535 escapes to the wide side table of the escape-cell
+// store it embeds (escape.go). Loads stay exact at every magnitude.
+type CompactStore struct{ escStore[uint16] }
 
 // NewCompact returns an empty compact store over n bins.
-func NewCompact(n int) *CompactStore {
-	s := &CompactStore{small: make([]uint16, n), wide: make(map[int]int)}
-	adviseHuge(s.small)
-	return s
-}
+func NewCompact(n int) *CompactStore { return &CompactStore{newEscStore[uint16](n)} }
 
 // Kind implements Store.
 func (s *CompactStore) Kind() StoreKind { return StoreCompact }
-
-// Len implements Store.
-func (s *CompactStore) Len() int { return len(s.small) }
-
-// Load implements Store. The non-escaped fast path is small enough to
-// inline into callers; the wide-table lookup is outlined so the map access
-// cannot blow the inlining budget.
-//
-//kd:hotpath
-func (s *CompactStore) Load(bin int) int {
-	if v := s.small[bin]; v != escape16 {
-		return int(v)
-	}
-	return s.loadWide(bin)
-}
-
-// Gather implements Store.
-//
-//kd:hotpath
-func (s *CompactStore) Gather(bins, loads []int) {
-	gatherCells(bins, loads, s.small, escape16, s.wide)
-}
-
-// loadWide returns the load of an escaped cell from the wide side table.
-//
-//kd:hotpath
-func (s *CompactStore) loadWide(bin int) int { return s.wide[bin] }
-
-// Add implements Store. Like Load, the in-range increment stays inlinable
-// and the escape transitions are outlined into addEscaped.
-//
-//kd:hotpath
-func (s *CompactStore) Add(bin int) int {
-	if v := s.small[bin]; v < escape16-1 {
-		v++
-		s.small[bin] = v
-		h := int(v)
-		if h > s.max {
-			s.max = h
-		}
-		s.balls++
-		return h
-	}
-	return s.addEscaped(bin)
-}
-
-// addEscaped handles the two escape cases of Add — the cell is already
-// wide, or this increment reaches the escape sentinel and moves it to the
-// wide table — including the aggregate bookkeeping.
-//
-//kd:hotpath
-func (s *CompactStore) addEscaped(bin int) int {
-	h := escape16
-	if s.small[bin] == escape16 {
-		h = s.wide[bin] + 1
-		s.wide[bin] = h
-	} else {
-		s.small[bin] = escape16
-		s.wide[bin] = escape16
-	}
-	if h > s.max {
-		s.max = h
-	}
-	s.balls++
-	return h
-}
-
-// AddN implements Store: a weighted add that stays in the small cell
-// whenever the result still fits under the escape sentinel, escaping
-// otherwise.
-//
-//kd:hotpath
-func (s *CompactStore) AddN(bin, w int) int {
-	checkWeight(w)
-	if v := s.small[bin]; v != escape16 && int(v)+w < escape16 {
-		h := int(v) + w
-		s.small[bin] = uint16(h)
-		if h > s.max {
-			s.max = h
-		}
-		s.balls += w
-		return h
-	}
-	return s.addNEscaped(bin, w)
-}
-
-// addNEscaped handles the wide-table cases of AddN: the cell is already
-// escaped, or this weighted add pushes it to (or past) the sentinel.
-//
-//kd:hotpath
-func (s *CompactStore) addNEscaped(bin, w int) int {
-	var h int
-	if s.small[bin] == escape16 {
-		h = s.wide[bin] + w
-	} else {
-		h = int(s.small[bin]) + w
-		s.small[bin] = escape16
-	}
-	s.wide[bin] = h
-	if h > s.max {
-		s.max = h
-	}
-	s.balls += w
-	return h
-}
-
-// Sub implements Store. A wide cell that drains back under the escape
-// sentinel is reclaimed into its small cell and removed from the side
-// table, so deletion-heavy workloads cannot turn a transient load spike
-// into permanent side-table growth. Draining the maximum triggers a full
-// rescan (see DenseStore.Sub; HistStore is the deletion-heavy choice).
-//
-//kd:hotpath
-func (s *CompactStore) Sub(bin, w int) int {
-	checkWeight(w)
-	old := s.Load(bin)
-	v := old - w
-	if v < 0 {
-		panic("loadvec: Sub below zero load")
-	}
-	if s.small[bin] == escape16 {
-		if v < escape16 {
-			// The cell fits in uint16 again: reclaim it losslessly.
-			delete(s.wide, bin)
-			s.small[bin] = uint16(v)
-		} else {
-			s.wide[bin] = v
-		}
-	} else {
-		s.small[bin] = uint16(v)
-	}
-	s.balls -= w
-	if w > 0 && old == s.max {
-		s.max = s.rescanMax()
-	}
-	return v
-}
-
-// BulkAdd implements Store: in-range cells increment with the max counter
-// in a register; escaped cells fall back to addEscaped.
-//
-//kd:hotpath
-func (s *CompactStore) BulkAdd(bins []int) {
-	max := s.max
-	balls := s.balls
-	for _, b := range bins {
-		if v := s.small[b]; v < escape16-1 {
-			s.small[b] = v + 1
-			if h := int(v) + 1; h > max {
-				max = h
-			}
-			balls++
-			continue
-		}
-		// Escape transition: flush the register copies so addEscaped sees
-		// consistent state, then reload them.
-		s.max, s.balls = max, balls
-		s.addEscaped(b)
-		max, balls = s.max, s.balls
-	}
-	s.max = max
-	s.balls = balls
-}
-
-// Set implements Store.
-func (s *CompactStore) Set(bin, load int) {
-	old := s.Load(bin)
-	if s.small[bin] == escape16 {
-		delete(s.wide, bin)
-	}
-	if load >= escape16 {
-		s.small[bin] = escape16
-		s.wide[bin] = load
-	} else {
-		s.small[bin] = uint16(load)
-	}
-	s.balls += load - old
-	switch {
-	case load > s.max:
-		s.max = load
-	case old == s.max && load < old:
-		s.max = s.rescanMax()
-	}
-}
-
-func (s *CompactStore) rescanMax() int {
-	m := 0
-	for bin := range s.small {
-		if v := s.Load(bin); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxLoad implements Store.
-func (s *CompactStore) MaxLoad() int { return s.max }
-
-// Balls implements Store.
-func (s *CompactStore) Balls() int { return s.balls }
-
-// NuY implements Store.
-func (s *CompactStore) NuY(y int) int {
-	if y <= 0 {
-		return len(s.small)
-	}
-	c := 0
-	if y >= escape16 {
-		// Only escaped cells can hold loads this large.
-		for _, v := range s.wide {
-			if v >= y {
-				c++
-			}
-		}
-		return c
-	}
-	yy := uint16(y)
-	for _, v := range s.small {
-		if v >= yy {
-			c++ // escaped cells (v == escape16) hold >= 65535 >= y
-		}
-	}
-	return c
-}
-
-// Vector implements Store.
-func (s *CompactStore) Vector() Vector {
-	out := make(Vector, len(s.small))
-	for i, v := range s.small {
-		if v == escape16 {
-			out[i] = s.wide[i]
-		} else {
-			out[i] = int(v)
-		}
-	}
-	return out
-}
-
-// Reset implements Store.
-func (s *CompactStore) Reset() {
-	for i := range s.small {
-		s.small[i] = 0
-	}
-	s.wide = make(map[int]int)
-	s.max, s.balls = 0, 0
-}
-
-// BytesPerBin implements Store.
-func (s *CompactStore) BytesPerBin() float64 {
-	// ~48 bytes per escaped entry is a conservative map-overhead estimate.
-	return 2 + float64(len(s.wide)*48)/float64(len(s.small))
-}
-
-// Escaped returns the number of bins currently in the wide side table.
-func (s *CompactStore) Escaped() int { return len(s.wide) }
 
 // HistStore keeps int32 loads plus a maintained histogram over load values,
 // so MaxLoad, Balls and NuY never scan the bins: NuY(y) sums the histogram
@@ -647,7 +394,7 @@ func (s *HistStore) Load(bin int) int { return int(s.loads[bin]) }
 // Gather implements Store.
 //
 //kd:hotpath
-func (s *HistStore) Gather(bins, loads []int) { gatherCells(bins, loads, s.loads, -1, nil) }
+func (s *HistStore) Gather(bins, loads []int) { gatherCells(bins, loads, s.loads) }
 
 // Add implements Store. The histogram-growth path is outlined so the
 // common increment stays small enough to inline into callers.
@@ -736,6 +483,7 @@ func (s *HistStore) BulkAdd(bins []int) {
 
 // Set implements Store.
 func (s *HistStore) Set(bin, load int) {
+	checkLoad(load)
 	if load > math.MaxInt32 {
 		panic("loadvec: HistStore load exceeds int32")
 	}
@@ -810,27 +558,21 @@ func (s *HistStore) BytesPerBin() float64 {
 	return 4 + float64(8*len(s.count))/float64(len(s.loads))
 }
 
-// cell enumerates the per-bin cell types of the array stores; each has
-// its own GC shape, so gatherCells compiles to one full instantiation per
-// store whose cell read is a direct indexed load.
+// cell enumerates the per-bin cell types of the dense and hist stores;
+// each has its own GC shape, so gatherCells compiles to one full
+// instantiation per store whose cell read is a direct indexed load.
 type cell interface {
-	~int | ~int32 | ~uint16
+	~int | ~int32
 }
 
-// gatherCells is the gather loop of the array stores: loads[i] is the cell
-// of bins[i], or its wide-table entry when the cell holds the escape
-// sentinel esc (the compact store; the dense and hist stores pass -1,
-// which no cell holds, and a nil table).
+// gatherCells is the gather loop of the dense and hist stores: loads[i] is
+// the cell of bins[i].
 //
 //kd:hotpath
-func gatherCells[E cell](bins, loads []int, cells []E, esc int, wide map[int]int) {
+func gatherCells[E cell](bins, loads []int, cells []E) {
 	loads = loads[:len(bins)]
 	for i, b := range bins {
-		v := int(cells[b])
-		if v == esc {
-			v = wide[b]
-		}
-		loads[i] = v
+		loads[i] = int(cells[b])
 	}
 }
 
@@ -845,16 +587,16 @@ func CellView(s Store) (base unsafe.Pointer, bits uint) {
 	case *DenseStore:
 		return cellView(s.loads)
 	case *CompactStore:
-		return cellView(s.small)
+		return cellView(s.cells)
 	case *HistStore:
 		return cellView(s.loads)
 	case *NibbleStore:
-		return unsafe.Pointer(unsafe.SliceData(s.packed)), 4
+		return unsafe.Pointer(unsafe.SliceData(s.cells)), 4
 	}
 	return nil, 0
 }
 
-func cellView[E cell](cells []E) (unsafe.Pointer, uint) {
+func cellView[E any](cells []E) (unsafe.Pointer, uint) {
 	var e E
 	return unsafe.Pointer(unsafe.SliceData(cells)), uint(unsafe.Sizeof(e)) * 8
 }
@@ -867,7 +609,7 @@ func (s *DenseStore) RawLoads() []int { return s.loads }
 // RawLoads exposes the compact store's small cells and wide side table to
 // the benchmark module's layer replay: a cell equal to 65535 holds its
 // true load in the map. Read-only for callers.
-func (s *CompactStore) RawLoads() ([]uint16, map[int]int) { return s.small, s.wide }
+func (s *CompactStore) RawLoads() ([]uint16, map[int]int) { return s.cells, s.wide }
 
 // RawLoads exposes the histogram store's backing load array to the
 // benchmark module's layer replay. Read-only for callers.

@@ -305,3 +305,32 @@ func TestBulkAddMatchesAdd(t *testing.T) {
 		t.Fatalf("MaxLoad = %d, want 65537", bulk.MaxLoad())
 	}
 }
+
+// TestSetNegativeLoadPanics pins Set's caller-bug contract on every store:
+// a negative load panics with "loadvec: negative load" and leaves the
+// store as it was. (An escape store would otherwise write its sentinel
+// with no wide entry, since the sentinel is what a negative load
+// truncates to.)
+func TestSetNegativeLoadPanics(t *testing.T) {
+	for _, kind := range []StoreKind{StoreDense, StoreCompact, StoreHist, StoreNibble, StoreSketch} {
+		t.Run(kind.String(), func(t *testing.T) {
+			s, err := NewStore(kind, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Add(1)
+			func() {
+				defer func() {
+					if r := recover(); r != "loadvec: negative load" {
+						t.Fatalf("Set(1, -1) recovered %v, want the negative-load panic", r)
+					}
+				}()
+				s.Set(1, -1)
+			}()
+			if s.Load(1) != 1 || s.Balls() != 1 || s.MaxLoad() != 1 || s.Vector().Total() != 1 {
+				t.Fatalf("after the panic: Load %d Balls %d MaxLoad %d Vector total %d, want 1 each",
+					s.Load(1), s.Balls(), s.MaxLoad(), s.Vector().Total())
+			}
+		})
+	}
+}

@@ -117,11 +117,12 @@ go run ./cmd/kdsim -n 4096 -m 20000 -d 2 -beta 1 -runs 2 \
     -churn diurnal:0.0005,0.5 -weights zipf:1.5,64 -store hist
 
 echo "==> perf ratchet: every grid's ratchet cells vs the committed BENCH_*.json"
-# Re-times the nine ratchet cells at full size against the committed
+# Re-times the ten ratchet cells at full size against the committed
 # files: the serial and 4-shard k=2, d=64 cells, k=8, d=16 and
 # k=128, d=192 (the selector's flat ranker and counting path), the d=2
 # d-choice and serial k=8 stale-batch cells (the per-ball argmin), the
-# hist serving cell, the n=10^8 nibble cell and the full-plan faults cell.
+# hist and compact serving cells (the compact one serves on the
+# escape-cell store), the n=10^8 nibble cell and the full-plan faults cell.
 # A >15% ns/op regression, the nibble cell over its 0.6 B/bin budget, or a
 # file without its grid's ratchet cells prints a PERF WARNING but does not
 # fail the pipeline (benchmark boxes are noisy); treat warnings as a prompt
