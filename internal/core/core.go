@@ -39,9 +39,12 @@
 // layout without changing a single result. A round reads the store once,
 // gathering its samples' loads with one Store.Gather call (a StaleBatch
 // round: all k·D of them), and decides on those loads with store-free code
-// shared by every engine (kernel.go); fixed-prologue round policies batch
-// their randomness into supersteps of Params.Block rounds (bit-identical
-// to drawing per round). Params.Shards >= 2 engages the sharded superstep
+// shared by every engine (kernel.go); a light-load (k,d) round first reads
+// only the few loads that can win (the empty-leader walk of select.go),
+// one Store.Load each, and gathers only if they cannot settle it.
+// Fixed-prologue round policies batch their randomness into supersteps of
+// Params.Block rounds (bit-identical to drawing per round).
+// Params.Shards >= 2 engages the sharded superstep
 // engine (shard.go): each superstep's randomness is pre-drawn in the
 // serial stream order, the workers of a persistent pool claim the block's
 // rounds from a shared cursor, each gathering its rounds' loads from the
@@ -329,7 +332,11 @@ type Process struct {
 	// in O(d) space — no O(n) scratch, which is what keeps the compact
 	// store's bytes/bin budget intact at 10⁸ bins. The sharded superstep
 	// engine gives every worker its own selector instead.
-	selsc   *selector
+	selsc *selector
+	// walkMax is the largest ball count at which a (k,d) round tries the
+	// empty-leader walk (walkMaxBalls); -1 never. It sits beside selsc,
+	// which every (k,d) round reads too.
+	walkMax int
 	binsBuf []int // receiving-bin scratch for batch placement
 
 	// pfBase and pfBits are the prefetch view of the store's load array
@@ -414,11 +421,12 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 	}
 
 	pr := &Process{
-		policy: policy,
-		p:      p,
-		rng:    rng,
-		store:  store,
-		n:      p.N,
+		policy:  policy,
+		p:       p,
+		rng:     rng,
+		store:   store,
+		n:       p.N,
+		walkMax: -1,
 	}
 	pr.pfBase, pr.pfBits = prefetchView(store)
 	pr.reg.init(p.N, p.VecDims, faultsActive(p) && p.Faults.Evict)
@@ -460,7 +468,9 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 	}
 	if policy == KDChoice || policy == SerializedKD {
 		pr.selsc = newSelector(p.D)
+		pr.selsc.pfBase, pr.selsc.pfBits = pr.pfBase, pr.pfBits
 		pr.binsBuf = make([]int, 0, p.D)
+		pr.walkMax = walkMaxBalls(p)
 	}
 	if policy == SerializedKD {
 		pr.sigmaBuf = make([]int, p.K)

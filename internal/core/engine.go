@@ -54,6 +54,11 @@ type roundEngine struct {
 	drawn bool    // ahead holds the next block
 	idx   int
 	cur   kdRound // scratch for next()'s return value
+
+	// pos is the position of the round next() last returned, counting the
+	// engine's rounds from 1 across blocks (0 before the first): what the
+	// empty-leader walk keys its one-round pipeline to (select.go).
+	pos uint64
 }
 
 // blockEligible reports whether the policy/params combination has the
@@ -132,6 +137,7 @@ func (p *roundEngine) next() *kdRound {
 	}
 	i := p.idx
 	p.idx++
+	p.pos++
 	p.cur.samples = p.blk.samples[i*p.d : (i+1)*p.d]
 	p.cur.nonce = p.blk.nonces[i]
 	return &p.cur
@@ -150,6 +156,14 @@ func (p *roundEngine) peekNext() []int {
 		return nil
 	}
 	return p.blk.samples[i*p.d : (i+1)*p.d]
+}
+
+// peekNonce returns the nonce of the round peekNext returns, at position
+// pos+1; call it only when peekNext is non-nil.
+//
+//kd:hotpath
+func (p *roundEngine) peekNonce() uint64 {
+	return p.blk.nonces[p.idx]
 }
 
 // nextBlock returns the whole next block at once: the drawn-ahead block

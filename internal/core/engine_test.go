@@ -9,8 +9,9 @@ import (
 )
 
 // TestPeekNextMatchesNext: the prefetch target is exactly the round the
-// following next() yields, and nil at every block boundary (before the
-// first round of each block, which is not drawn yet).
+// following next() yields, nonce included, and nil at every block boundary
+// (before the first round of each block, which is not drawn yet); the
+// engine position counts the rounds next() has yielded.
 func TestPeekNextMatchesNext(t *testing.T) {
 	const n, d = 1000, 5
 	for _, block := range []int{1, 3, 0} {
@@ -19,12 +20,20 @@ func TestPeekNextMatchesNext(t *testing.T) {
 			e := newRoundEngine(xrand.New(4), n, d, rounds)
 			for j := 0; j < 5*rounds+2; j++ {
 				peek := slices.Clone(e.peekNext())
-				got := e.next().samples
+				var nonce uint64
+				if peek != nil {
+					nonce = e.peekNonce()
+				}
+				r := e.next()
+				got := r.samples
 				if boundary := j%rounds == 0; boundary != (peek == nil) {
 					t.Fatalf("round %d: peek %v, want nil exactly at block boundaries (every %d rounds)", j, peek, rounds)
 				}
-				if peek != nil && !slices.Equal(peek, got) {
-					t.Fatalf("round %d: peeked %v, next() yielded %v", j, peek, got)
+				if peek != nil && (!slices.Equal(peek, got) || nonce != r.nonce) {
+					t.Fatalf("round %d: peeked %v nonce %#x, next() yielded %v nonce %#x", j, peek, nonce, got, r.nonce)
+				}
+				if e.pos != uint64(j+1) {
+					t.Fatalf("round %d: engine position %d, want %d", j, e.pos, j+1)
 				}
 			}
 		})

@@ -36,8 +36,9 @@ func (pr *Process) peekNext() []int {
 // are consecutive and distinct, the surviving slots of any bin always form
 // a prefix of its slots, which is exactly the rule "a bin sampled m times
 // receives at most m balls". Slot selection is delegated to the fast
-// kernel (one Store.Gather, then the store-free ranking of select.go;
-// reference sort kernel behind Params.ReferenceSelect).
+// kernel (the empty-leader walk at light load, else one Store.Gather and
+// the store-free ranking of select.go; reference sort kernel behind
+// Params.ReferenceSelect).
 func (pr *Process) roundKD(toPlace int) {
 	nonce := pr.roundPrologue()
 	pr.placeSelected(pr.rankSelectWith(nonce, toPlace))

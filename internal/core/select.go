@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sort"
 	"unsafe"
+
+	"repro/internal/loadvec"
 )
 
 // This file is the round engine's selection kernel: given the d samples of a
@@ -14,26 +16,43 @@ import (
 //
 // Two implementations exist:
 //
-//   - the fast kernel, the default: one Store.Gather call reads every
-//     sample's load (kernel.go), then probeAndRank below ranks the round on
-//     one of the three paths listed next, which all return the same ranked
-//     slice.
+//   - the fast kernel, the default: a light-load round first tries the
+//     empty-leader walk, which reads only a few loads one at a time
+//     (Store.Load); any other round, and any round the walk cannot settle,
+//     reads every sample's load with one Store.Gather call (kernel.go) and
+//     probeAndRank below ranks it. All four paths listed next return the
+//     same ranked slice.
 //   - the reference kernel (Params.ReferenceSelect): the original
 //     sort-everything path, kept as the oracle the fast kernel is tested
 //     against.
 //
-// The fast kernel's paths. The first two rank packed keys without the
+// The fast kernel's paths. The first three rank packed keys without the
 // group table: in the flat view every sample sits at load+1, as if its
 // bin were sampled once, so each sample packs into one (height, tie) key.
-// A round either of them cannot rank exactly falls through to the third.
+// A round none of them can rank exactly falls through to the fourth.
 //
+//   - the empty-leader walk, for the (2,d) rounds of d >= walkMinD while
+//     at most n/4 balls are placed on an exact store (walkMaxBalls): it
+//     keys every sample as if its bin were empty, with no load read, and
+//     keeps the five smallest keys, the leaders, with the streaming
+//     ranker's register network. No slot sits below height 1, and the
+//     height-1 slots are exactly the first copies of the empty sampled
+//     bins, tied by the leader keys' ties. So the first toPlace empty,
+//     distinct leaders in key order are the round's top slots: the walk
+//     reads the leaders' loads in key order until toPlace are empty. A
+//     repeated bin or a tie-prefix collision among the walked leaders or
+//     at the key after the last one taken (streamExact's condition), or
+//     too few empty leaders, sends the round to the gather and the paths
+//     below. The serial engine and each shard lane compute the next
+//     pre-drawn round's leaders one round ahead and prefetch only their
+//     lines.
 //   - the streaming ranker, for toPlace <= 4 at any d: a branch-free pass
 //     keeps the toPlace+1 smallest keys in registers. A repeated bin
 //     changes the result only if two of its copies reach the selection,
 //     and then two of those toPlace+1 keys agree; so do the keys of a
 //     copy at the boundary and of a tie-prefix collision. Those rounds,
 //     and load spreads of 64 or more, fall through. This covers every
-//     k = 2 round, among them the light-load benchmark shape (2,64).
+//     k = 2 round the walk does not take or settle.
 //   - the flat ranker, for toPlace > 4 and d <= flatMaxD when the d
 //     samples are distinct bins: all but ~d²/2n of rounds, 99.9% at d = 16
 //     and n = 10⁵. A branch-free count over all d² key pairs ranks the
@@ -53,9 +72,9 @@ import (
 // fixed seed they deliver bitwise-identical ranked slots — the property
 // TestFastSelectMatchesReference checks exhaustively. A keyed hash instead
 // of one rng.Uint64 per slot is what makes this possible: tie keys are a
-// pure function of (nonce, bin, height), so computing them lazily, or for
-// every sample as the flat and streaming rankers do, does not perturb the
-// stream.
+// pure function of (nonce, bin, height), so computing them lazily, for
+// every sample as the flat and streaming rankers do, or for a height the
+// sample may not have as the walk does, does not perturb the stream.
 //
 // Where the time goes. On the heavily loaded benchmark shape (k = 8,
 // d = 16, n = 10⁵) selection is most of a round: gather and apply hit
@@ -85,7 +104,14 @@ func (pr *Process) rankSelect(toPlace int) []slot {
 }
 
 // rankSelectWith is rankSelect with the nonce already materialized — either
-// by rankSelect itself or by the superstep engine.
+// by rankSelect itself or by the superstep engine. While at most walkMax
+// balls are placed the round goes to the lane's empty-leader walk
+// (selector.walkRank) with its engine position and the next pre-drawn
+// round, the target of the walk's pipeline; a round rankSelect drew gets
+// the position of the engine's last round, which is ranked already, and
+// the pipeline only ever holds a round not yet ranked, so it cannot match.
+// Any other round gathers every sample's load and prefetches the next
+// round's lines during the ranking.
 //
 //kd:hotpath
 func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
@@ -97,21 +123,54 @@ func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
 		}
 		return pr.slots[:toPlace]
 	}
-	pr.store.Gather(pr.samples, pr.ldv)
-	if pr.pfBase != nil {
-		pr.selsc.prefetchNext(pr.pfBase, pr.pfBits, pr.peekNext())
+	sc := pr.selsc
+	if pr.balls > pr.walkMax {
+		sc.prefetchNext(pr.peekNext())
+		pr.store.Gather(pr.samples, pr.ldv)
+		return pr.probeAndRank(nonce, toPlace)
 	}
-	return pr.probeAndRank(nonce, toPlace)
+	var at, nextNonce uint64
+	var next []int
+	if e := pr.eng; e != nil {
+		at = e.pos
+		if next = e.peekNext(); next != nil {
+			nextNonce = e.peekNonce()
+		}
+	}
+	return sc.walkRank(pr.store, pr.samples, pr.ldv[:len(pr.samples)], nonce, at, next, nextNonce, at+1, toPlace)
 }
 
-// selector owns the scratch of the store-free counting selection kernel:
-// the epoch-stamped group table, the height histogram, and the slot
-// buffers. It is one DECISION LANE — a serial process owns exactly one,
-// and every worker of the sharded superstep engine owns its own, so
-// concurrent per-round selections never share mutable state. The selector
-// reads only its arguments (samples, pre-gathered loads, the round nonce),
-// never the store, which is what lets the sharded decide phase run over a
-// frozen load snapshot.
+// walkRank ranks one (k,d) round by the empty-leader walk on this lane; the
+// serial engine and every shard worker call it alike. samples and nonce are
+// the round's and at its position in the engine's order (0: none); next,
+// nextNonce and nextAt are the round the lane ranks after it (next nil:
+// none drawn yet). The walk reads only the round's leaders' loads, and
+// computes next's leaders one round early, requesting only their lines. A
+// round the walk cannot settle gathers every sample's load into ldv and is
+// ranked on probeAndRank's paths. The store is only read.
+//
+//kd:hotpath
+func (sc *selector) walkRank(store loadvec.Store, samples, ldv []int, nonce, at uint64, next []int, nextNonce, nextAt uint64, toPlace int) []slot {
+	top := sc.leaders(samples, nonce, at)
+	if next != nil {
+		sc.pipeLeaders(next, nextNonce, nextAt)
+	}
+	if sel, ok := sc.walkLeaders(store, samples, &top, nonce, toPlace); ok {
+		return sel
+	}
+	store.Gather(samples, ldv)
+	return sc.probeAndRank(samples, ldv, nonce, toPlace)
+}
+
+// selector owns the scratch of the selection kernel: the epoch-stamped
+// group table, the height histogram, the slot buffers and the empty-leader
+// walk's pipelined keys. It is one DECISION LANE — a serial process owns
+// exactly one, and every worker of the sharded superstep engine owns its
+// own, so concurrent per-round selections never share mutable state. The
+// ranking paths read only their arguments (samples, pre-gathered loads,
+// the round nonce); only the empty-leader walk reads the store, through
+// Store.Load and never writing, which the sharded decide phase allows
+// because nothing writes to the store while it runs.
 type selector struct {
 	gtab  *groupTab
 	hist  []int32
@@ -123,13 +182,21 @@ type selector struct {
 	// sample's index: bits.Len(d-1) of them.
 	idxMask uint64
 
-	// The prefetch target of the round after the one being ranked: the
-	// raw load array's base, its element width in bits, and that round's
-	// samples (see prefetchNext). Not a read of the store: prefetches
-	// change no memory and no result.
+	// The prefetch view of the store, set by the lane's owner (the raw
+	// load array's base and its element width in bits; nil pfBase: off),
+	// and the samples of the round after the one being ranked (see
+	// prefetchNext). Not a read of the store: prefetches change no memory
+	// and no result.
 	pfBase unsafe.Pointer
 	pfBits uint
 	pfNext []int
+
+	// The empty-leader walk's one-round pipeline (pipeLeaders): the leader
+	// keys of the round at position leadAt, computed while the round before
+	// it was ranked. leadAt 0 holds none. Every gathering round clears
+	// leadAt (prefetchNext), so it sits beside pfNext.
+	leadAt uint64
+	lead   [streamMaxPlace + 1]uint64
 }
 
 // newSelector sizes a selection lane for rounds of d samples.
@@ -182,15 +249,21 @@ func (gt *groupTab) nextEpoch() uint32 {
 	return gt.epoch
 }
 
-// prefetchNext sets the prefetch target of the next probeAndRank call:
-// while its scan ranks the current round it requests the load lines of
-// next, 8 samples every 8 samples, so those loads are in flight during the
-// selection instead of stalling the next round's gather. The target holds
-// for one scan; nil next (no pre-drawn next round) prefetches nothing.
+// prefetchNext readies the lane for a round ranked from a full gather. It
+// sets the prefetch target of the next probeAndRank call: while its scan
+// ranks the current round it requests the load lines of next, 8 samples
+// every 8 samples, so those loads are in flight during the selection
+// instead of stalling the next round's gather. The target holds for one
+// scan; nil next (no pre-drawn next round) or no prefetch view prefetches
+// nothing. It also empties the walk's pipeline, which such a round does not
+// use.
 //
 //kd:hotpath
-func (sc *selector) prefetchNext(base unsafe.Pointer, bits uint, next []int) {
-	sc.pfBase, sc.pfBits, sc.pfNext = base, bits, next
+func (sc *selector) prefetchNext(next []int) {
+	sc.leadAt = 0
+	if sc.pfBase != nil {
+		sc.pfNext = next
+	}
 }
 
 // prefetchAt requests the load lines of the target's samples [i, i+8).
@@ -317,12 +390,7 @@ func (sc *selector) streamRank(samples, ldv []int, nonce uint64, toPlace int) (s
 	t0, t1, t2, t3, t4 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	for i, b := range samples {
 		l := ldv[i]
-		k := flatKey(l-lo, tieKey(nonce, b, l+1))&^idx | uint64(i)
-		t0, k = min(t0, k), max(t0, k)
-		t1, k = min(t1, k), max(t1, k)
-		t2, k = min(t2, k), max(t2, k)
-		t3, k = min(t3, k), max(t3, k)
-		t4 = min(t4, k)
+		t0, t1, t2, t3, t4 = keepLeast(t0, t1, t2, t3, t4, flatKey(l-lo, tieKey(nonce, b, l+1))&^idx|uint64(i))
 	}
 	top := [streamMaxPlace + 1]uint64{t0, t1, t2, t3, t4}
 	if !streamExact(&top, toPlace, idx) {
@@ -349,6 +417,130 @@ func streamExact(top *[streamMaxPlace + 1]uint64, toPlace int, idx uint64) bool 
 		}
 	}
 	return true
+}
+
+// keepLeast is the streaming rankers' register network: it inserts key k
+// into t0 <= t1 <= ... <= t4 and returns the five smallest of the six,
+// ascending, branch-free.
+//
+//kd:hotpath
+func keepLeast(t0, t1, t2, t3, t4, k uint64) (uint64, uint64, uint64, uint64, uint64) {
+	t0, k = min(t0, k), max(t0, k)
+	t1, k = min(t1, k), max(t1, k)
+	t2, k = min(t2, k), max(t2, k)
+	t3, k = min(t3, k), max(t3, k)
+	return t0, t1, t2, t3, min(t4, k)
+}
+
+// walkMinD is the smallest round the empty-leader walk takes. Each ball it
+// places costs a Load call of its own; below this the gather it saves is
+// too short to pay for them reliably (see walkMaxBalls).
+const walkMinD = 32
+
+// walkMaxBalls returns the largest ball count at which the (k,d) rounds of
+// p try the empty-leader walk, or -1 when they never do. The walk is exact
+// at any load and for any k up to streamMaxPlace; the gate only prices it.
+// It opens where the walk was measured to pay, and nowhere else: k = 2
+// rounds of d >= walkMinD samples on an exact store (the sketch's
+// estimates are rarely zero) while at most n/4 balls are placed. Timed with
+// Place of n/4 balls into 10⁶ empty compact bins, the gather-only kernel
+// and the walk alternating in one process (2-vCPU Xeon VM), the walk was
+// faster in 18 and 19 of 20 pairs at (2,32) and 20 of 20 at (2,64), and
+// over balls n/5 to n/4 alone (4·10⁶ bins) in 18 and 20 of 20; at (2,16)
+// in 17 and 18 of 20, in one of the two batches with the gain inside the
+// gather's own spread, and at (2,8) in 14 of 20, so shorter rounds gather. Each leader is a uniform
+// bin, empty with probability at least 3/4 below n/4 balls: the walk
+// settled 98.7% of the rounds up to n/4 and 96.3% of those past n/5.
+// Other k were not measured to pay ((4,8) measured slower: a 4-ball round
+// needs all four walkable leaders empty).
+func walkMaxBalls(p Params) int {
+	if p.Store == loadvec.StoreSketch || p.ReferenceSelect || p.K != 2 || p.D < walkMinD {
+		return -1
+	}
+	return p.N / 4
+}
+
+// leaderKeys returns the five smallest empty-view keys of a round: every
+// sample keyed as if its bin were empty, tieKey(nonce, b, 1) packed as
+// streamRank packs a sample at the round's lowest load, so no load is read.
+//
+//kd:hotpath
+func leaderKeys(samples []int, nonce, idx uint64) [streamMaxPlace + 1]uint64 {
+	t0, t1, t2, t3, t4 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+	for i, b := range samples {
+		t0, t1, t2, t3, t4 = keepLeast(t0, t1, t2, t3, t4, flatKey(0, tieKey(nonce, b, 1))&^idx|uint64(i))
+	}
+	return [streamMaxPlace + 1]uint64{t0, t1, t2, t3, t4}
+}
+
+// leaders returns the leader keys of the round at position at: the
+// pipelined ones when the round before computed them for this position,
+// else computed now (at 0 never matches). The pipeline is empty after.
+//
+//kd:hotpath
+func (sc *selector) leaders(samples []int, nonce, at uint64) [streamMaxPlace + 1]uint64 {
+	hit := at != 0 && sc.leadAt == at
+	sc.leadAt = 0
+	if hit {
+		return sc.lead
+	}
+	return leaderKeys(samples, nonce, sc.idxMask)
+}
+
+// pipeLeaders computes the leader keys of the round at position at (its
+// samples next and its nonce) one round early, and requests the load lines
+// of the streamMaxPlace leaders a walk may read: the next round's gather
+// reduced to the few lines that can win.
+//
+//kd:hotpath
+func (sc *selector) pipeLeaders(next []int, nonce, at uint64) {
+	sc.lead = leaderKeys(next, nonce, sc.idxMask)
+	sc.leadAt = at
+	if sc.pfBase == nil {
+		return
+	}
+	var bins [streamMaxPlace]int
+	walkable := bins[:min(len(next), streamMaxPlace)]
+	for j := range walkable {
+		walkable[j] = next[sc.lead[j]&sc.idxMask]
+	}
+	prefetchIdx(sc.pfBase, walkable, sc.pfBits)
+}
+
+// walkLeaders is the empty-leader ranker. No slot sits below height 1, and
+// the height-1 slots are exactly the first copies of the round's empty
+// bins, with tie keys tieKey(nonce, b, 1): the leader keys' ties. So when
+// toPlace distinct leaders are empty, the first toPlace of them in key
+// order are the round's top toPlace slots, ranked. The walk reads the
+// leaders' loads in key order, skips a loaded leader (its slots sit at
+// height 2 or more) and takes an empty one, until toPlace are taken. Key
+// order is tie order only while keys differ above the index bits, and
+// every sample outside the walked leaders ranks after them only if the key
+// after the last one taken differs from it there too — streamExact's
+// condition. ok is false when a walked leader or the key after it repeats
+// another above the index bits (a repeated bin or a tie-prefix collision),
+// or when the walkable leaders hold too few empty bins: the caller gathers
+// the round and ranks it on the other paths.
+//
+//kd:hotpath
+func (sc *selector) walkLeaders(store loadvec.Store, samples []int, top *[streamMaxPlace + 1]uint64, nonce uint64, toPlace int) (sel []slot, ok bool) {
+	idx := sc.idxMask
+	sel = sc.sel[:toPlace]
+	taken := 0
+	for j := 0; j < streamMaxPlace; j++ {
+		if (top[j]^top[j+1])&^idx == 0 {
+			return nil, false
+		}
+		b := samples[top[j]&idx]
+		if store.Load(b) != 0 {
+			continue
+		}
+		sel[taken] = slot{bin: b, height: 1, tie: tieKey(nonce, b, 1)}
+		if taken++; taken == toPlace {
+			return sel, true
+		}
+	}
+	return nil, false
 }
 
 // flatMaxD is the largest round the flat ranker takes; a multiple of 4

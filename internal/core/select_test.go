@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,23 +69,32 @@ func reversed(k int) []int {
 // order. The grid spans both sides of the flat ranker's d cutoff, and n from
 // 8 (most rounds repeat a bin and fall through) to 8192 (most rounds are
 // distinct and ranked flat). The small-k half draws k <= streamMaxPlace and
-// d up to 130, across the streaming ranker's index-field widths.
+// d up to 130, across the streaming ranker's index-field widths. The light
+// half places at most n/2 balls at k <= streamMaxPlace and d up to 130 on
+// every exact store, where the empty-leader walk ranks most rounds: in half
+// its runs a sixteenth of the bins starts at a load past the compact and
+// nibble cell range; in those and in a quarter more the walk is forced on
+// at any load, k and d, and the rest keep its gate (k = 2, d >= walkMinD,
+// at most n/4 balls), which closes mid-run.
 func TestFastSelectMatchesReference(t *testing.T) {
 	ns := []int{8, 13, 40, 100, 512, 4096, 8192}
 	for _, policy := range []Policy{KDChoice, SerializedKD} {
-		for _, small := range []bool{false, true} {
+		for _, mode := range []string{"", "small-k", "light"} {
 			name := policy.String()
-			if small {
-				name += "/small-k"
+			if mode != "" {
+				name += "/" + mode
 			}
 			t.Run(name, func(t *testing.T) {
 				if err := quick.Check(func(seed uint64, nRaw, kRaw, dRaw, multRaw uint8) bool {
 					n := ns[int(nRaw)%len(ns)]
 					k := int(kRaw%24) + 1
 					d := k + 1 + int(dRaw)%(40-k)
-					if small {
+					if mode != "" {
 						k = int(kRaw%streamMaxPlace) + 1
 						d = k + 1 + int(dRaw)%(130-k)
+					}
+					if mode == "light" {
+						n = ns[4+int(nRaw)%3]
 					}
 					if d > n {
 						d = n
@@ -92,15 +103,38 @@ func TestFastSelectMatchesReference(t *testing.T) {
 						}
 					}
 					m := (int(multRaw%4)+1)*n/2 + int(multRaw/4)%k
+					st := walkStores[int(nRaw/8)%len(walkStores)]
+					var loads []int
+					if mode == "light" {
+						m = (int(multRaw%8)+1)*n/16 + int(multRaw/8)%k
+						if multRaw&0x80 != 0 {
+							loads = make([]int, n)
+							for b := 0; b < n; b += 16 {
+								loads[b] = st.escaped + b%3
+							}
+						}
+					}
 					p := Params{N: n, K: k, D: d}
+					if mode == "light" {
+						p.Store = st.kind
+					}
 					if policy == SerializedKD {
 						p.Sigma = reversed(k)
 					}
 					fast := MustNew(policy, p, xrand.New(seed))
 					p.ReferenceSelect = true
 					ref := MustNew(policy, p, xrand.New(seed))
+					if loads != nil {
+						fast.setLoads(loads)
+						ref.setLoads(loads)
+					}
+					if loads != nil || mode == "light" && multRaw&0x40 != 0 {
+						// The walk is exact at any load, k and d; its gate
+						// only prices it.
+						fast.walkMax = math.MaxInt
+					}
 					if err := sameRun(fast, ref, m); err != nil {
-						t.Logf("n=%d k=%d d=%d m=%d seed=%d: %v", n, k, d, m, seed, err)
+						t.Logf("n=%d k=%d d=%d m=%d store=%v seed=%d: %v", n, k, d, m, p.Store, seed, err)
 						return false
 					}
 					return true
@@ -328,6 +362,249 @@ func TestStreamRankFallThrough(t *testing.T) {
 			}
 		}
 	})
+}
+
+// walkStores are the exact stores the empty-leader walk reads, with a load
+// past each store's cell range (compact 65535, nibble 15), so a loaded
+// leader can be an escaped one.
+var walkStores = []struct {
+	kind    loadvec.StoreKind
+	escaped int
+}{
+	{loadvec.StoreDense, 70000},
+	{loadvec.StoreCompact, 70000},
+	{loadvec.StoreHist, 70000},
+	{loadvec.StoreNibble, 40},
+}
+
+// TestLeaderWalk crafts the rounds the empty-leader walk must settle — every
+// leader empty, loaded (and escaped) leaders it skips, a repeat outside the
+// walked leaders — next to the ones it must refuse: a repeated bin among
+// the leaders, a copy at the key after the last one taken, and too few
+// empty leaders. Each round must match the reference sort, on every exact
+// store, at the selector and through a process against its ReferenceSelect
+// twin. A tie-prefix collision cannot be crafted through tieKey, so the
+// walk is driven with keys directly.
+func TestLeaderWalk(t *testing.T) {
+	const d, nonce = 64, 0x243f6a8885a308d3
+	// lead(i) is the sample index of leader i of the unedited round.
+	base := make([]int, d)
+	for i := range base {
+		base[i] = 3*i + 1
+	}
+	idx := newSelector(d).idxMask
+	top := leaderKeys(base, nonce, idx)
+	lead := func(i int) int { return int(top[i] & idx) }
+	var outside []int // samples that lead nothing
+	for i := range base {
+		if !slices.ContainsFunc(top[:], func(k uint64) bool { return int(k&idx) == i }) {
+			outside = append(outside, i)
+		}
+	}
+	cases := []struct {
+		name    string
+		toPlace int
+		edit    func(samples, loads []int, escaped int)
+		taken   bool
+	}{
+		{"all-empty", 2, func([]int, []int, int) {}, true},
+		{"all-empty/k=4", 4, func([]int, []int, int) {}, true},
+		{"loaded-leader", 2, func(s, l []int, _ int) { l[s[lead(0)]] = 3 }, true},
+		{"escaped-leaders", 2, func(s, l []int, esc int) { l[s[lead(0)]], l[s[lead(2)]] = esc, esc+1 }, true},
+		{"loaded-first-two", 2, func(s, l []int, _ int) { l[s[lead(0)]], l[s[lead(1)]] = 1, 2 }, true},
+		{"repeat-outside", 2, func(s, l []int, _ int) { s[outside[0]] = s[outside[1]] }, true},
+		{"repeated-leader", 2, func(s, l []int, _ int) { s[lead(1)] = s[lead(0)] }, false},
+		{"repeated-loaded-leader", 2, func(s, l []int, _ int) { l[s[lead(0)]] = 4; s[lead(1)] = s[lead(0)] }, false},
+		{"copy-after-last-taken", 2, func(s, l []int, _ int) { s[lead(2)] = s[lead(1)] }, false},
+		{"too-few-empty", 2, func(s, l []int, esc int) { l[s[lead(0)]], l[s[lead(1)]], l[s[lead(3)]] = 1, esc, 2 }, false},
+		{"too-few-empty/k=4", 4, func(s, l []int, _ int) { l[s[lead(3)]] = 1 }, false},
+	}
+	for _, st := range walkStores {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%v/%s", st.kind, tc.name), func(t *testing.T) {
+				samples := append([]int(nil), base...)
+				loads := make([]int, 3*d+8)
+				tc.edit(samples, loads, st.escaped)
+				ldv := make([]int, d)
+				for i, b := range samples {
+					ldv[i] = loads[b]
+				}
+				want := refRank(samples, ldv, nonce, tc.toPlace)
+				store, err := loadvec.NewStore(st.kind, len(loads))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b, l := range loads {
+					store.Set(b, l)
+				}
+				sc := newSelector(d)
+				top := leaderKeys(samples, nonce, sc.idxMask)
+				sel, ok := sc.walkLeaders(store, samples, &top, nonce, tc.toPlace)
+				if ok != tc.taken {
+					t.Fatalf("walkLeaders ok = %v, want %v", ok, tc.taken)
+				}
+				if ok && !reflect.DeepEqual(sel, want) {
+					t.Fatalf("walkLeaders %v, reference %v", sel, want)
+				}
+
+				var logs [2]roundLog
+				for i, ref := range []bool{false, true} {
+					pr := MustNew(KDChoice, Params{N: len(loads), K: tc.toPlace, D: d, Store: st.kind, ReferenceSelect: ref}, xrand.New(3))
+					pr.SetObserver(&logs[i])
+					pr.setLoads(loads)
+					pr.walkMax = math.MaxInt // the escaped loads close the gate; the walk is exact at any load
+					copy(pr.samples, samples)
+					pr.roundKDFromSamples(tc.toPlace)
+				}
+				if !reflect.DeepEqual(logs[0], logs[1]) {
+					t.Fatalf("fast kernel delivered %v heights %v, ReferenceSelect %v heights %v",
+						logs[0].placed, logs[0].heights, logs[1].placed, logs[1].heights)
+				}
+			})
+		}
+	}
+
+	t.Run("tie-prefix", func(t *testing.T) {
+		const tie = 0x9e3779b97f4a7c15
+		store := loadvec.NewDense(3*d + 8)
+		dropped := idx<<flatHeightBits | (1<<flatHeightBits - 1) // the tie bits a key drops
+		for _, tc := range []struct {
+			other    uint64
+			distinct bool
+		}{{tie ^ dropped, false}, {tie ^ (dropped + 1), true}} {
+			key := func(tie uint64, i int) uint64 { return flatKey(0, tie)&^idx | uint64(i) }
+			top := [streamMaxPlace + 1]uint64{key(mix64(1), 5), key(tie, 3), key(tc.other, d-1), key(mix64(2), 0), key(mix64(3), 9)}
+			sort.Slice(top[:], func(i, j int) bool { return top[i] < top[j] })
+			sel, ok := newSelector(d).walkLeaders(store, base, &top, nonce, 3)
+			if ok != tc.distinct {
+				t.Fatalf("ties %#x and %#x: walkLeaders ok = %v, want %v", uint64(tie), tc.other, ok, tc.distinct)
+			}
+			if ok && len(sel) != 3 {
+				t.Fatalf("walkLeaders took %d leaders, want 3", len(sel))
+			}
+		}
+	})
+}
+
+// readCounter is a store that records its reads: the bins read one at a
+// time through Load, in order, and the samples read through Gather.
+type readCounter struct {
+	loadvec.Store
+	loaded   []int
+	gathered int
+}
+
+func (c *readCounter) Load(bin int) int {
+	c.loaded = append(c.loaded, bin)
+	return c.Store.Load(bin)
+}
+
+func (c *readCounter) Gather(bins, loads []int) {
+	c.gathered += len(bins)
+	c.Store.Gather(bins, loads)
+}
+
+// TestLeaderWalkEngages pins where the empty-leader walk runs, so a gate
+// that silently never opens fails here and not only in a benchmark: a
+// light-load (2,64) round reads exactly its walked leaders one at a time,
+// in key order, and gathers its d samples only when those leaders cannot
+// settle it (serial, pipelined and not; sharded rounds likewise); a round
+// past the gate, a round on the sketch, a round of d < walkMinD and a k = 4
+// round gather all d samples and read none alone.
+func TestLeaderWalkEngages(t *testing.T) {
+	const n, k, d, rounds = 1 << 16, 2, 64, 200
+	for _, tc := range []struct {
+		p    Params
+		want int
+	}{
+		{Params{N: n, K: k, D: d}, n / 4},
+		{Params{N: n, K: k, D: walkMinD, Store: loadvec.StoreNibble}, n / 4},
+		{Params{N: n, K: k, D: walkMinD - 1}, -1},
+		{Params{N: n, K: 1, D: d}, -1},
+		{Params{N: n, K: 4, D: d}, -1},
+		{Params{N: n, K: k, D: d, Store: loadvec.StoreSketch}, -1},
+		{Params{N: n, K: k, D: d, ReferenceSelect: true}, -1},
+	} {
+		if w := walkMaxBalls(tc.p); w != tc.want {
+			t.Fatalf("walkMaxBalls(n=%d, k=%d, d=%d, %v, reference %v) = %d, want %d",
+				tc.p.N, tc.p.K, tc.p.D, tc.p.Store, tc.p.ReferenceSelect, w, tc.want)
+		}
+	}
+
+	light := func(t *testing.T, p Params) {
+		pr := MustNew(KDChoice, p, xrand.New(11))
+		pr.Place(n / 8)
+		rc := &readCounter{Store: pr.store}
+		pr.store = rc
+		settled := 0
+		for r := 0; r < rounds; r++ {
+			rc.loaded, rc.gathered = rc.loaded[:0], 0
+			before := pr.Loads()
+			pr.Round()
+			// The walk the round must have made: leaders in key order,
+			// until k are empty, a key repeats above the index bits, or
+			// the walkable leaders run out.
+			idx := pr.selsc.idxMask
+			top := leaderKeys(pr.samples, pr.eng.blk.nonces[pr.eng.idx-1], idx)
+			var walked []int
+			empty := 0
+			for j := 0; j < streamMaxPlace && empty < k && (top[j]^top[j+1])&^idx != 0; j++ {
+				b := pr.samples[top[j]&idx]
+				walked = append(walked, b)
+				if before[b] == 0 {
+					empty++
+				}
+			}
+			wantGather := d
+			if empty == k {
+				wantGather = 0
+				settled++
+			}
+			if rc.gathered != wantGather || !slices.Equal(rc.loaded, walked) {
+				t.Fatalf("round %d at %d balls: gathered %d samples and loaded %v, want %d gathered and the walked leaders %v",
+					r, pr.Balls(), rc.gathered, rc.loaded, wantGather, walked)
+			}
+		}
+		if settled < rounds*9/10 {
+			t.Fatalf("the walk settled %d of %d rounds at load 1/8, want at least 90%%", settled, rounds)
+		}
+	}
+	t.Run("light/compact", func(t *testing.T) { light(t, Params{N: n, K: k, D: d, Store: loadvec.StoreCompact}) })
+	t.Run("light/dense/block=1", func(t *testing.T) { light(t, Params{N: n, K: k, D: d, Block: 1}) })
+
+	t.Run("light/shards=2", func(t *testing.T) {
+		pr := MustNew(KDChoice, Params{N: n, K: k, D: d, Shards: 2, Block: 64}, xrand.New(11))
+		pr.Close() // one goroutine decides every share, so the counter needs no lock
+		pr.Place(n / 8)
+		rc := &readCounter{Store: pr.store}
+		pr.store, pr.shard.store = rc, rc
+		pr.Place(k * rounds)
+		if fell := rc.gathered / d; rc.gathered%d != 0 || fell > rounds/10 ||
+			len(rc.loaded) < (rounds-fell)*k || len(rc.loaded) > rounds*streamMaxPlace {
+			t.Fatalf("%d sharded rounds gathered %d samples and loaded %d bins alone, want at most %d gathered rounds and %d to %d loads",
+				rounds, rc.gathered, len(rc.loaded), rounds/10, rounds*k*9/10, rounds*streamMaxPlace)
+		}
+	})
+
+	gathersAll := func(t *testing.T, p Params, warm int) {
+		pr := MustNew(KDChoice, p, xrand.New(11))
+		pr.Place(warm)
+		rc := &readCounter{Store: pr.store}
+		pr.store = rc
+		for r := 0; r < rounds; r++ {
+			rc.loaded, rc.gathered = rc.loaded[:0], 0
+			pr.Round()
+			if rc.gathered != p.D || len(rc.loaded) != 0 {
+				t.Fatalf("round %d at %d balls: gathered %d samples and loaded %d bins alone, want all %d gathered",
+					r, pr.Balls(), rc.gathered, len(rc.loaded), p.D)
+			}
+		}
+	}
+	t.Run("heavy", func(t *testing.T) { gathersAll(t, Params{N: n, K: k, D: d}, n) })
+	t.Run("past-gate", func(t *testing.T) { gathersAll(t, Params{N: n, K: k, D: d}, n/4+1) })
+	t.Run("sketch", func(t *testing.T) { gathersAll(t, Params{N: n, K: k, D: d, Store: loadvec.StoreSketch}, n/8) })
+	t.Run("short-d", func(t *testing.T) { gathersAll(t, Params{N: n, K: k, D: walkMinD - 1}, n/8) })
+	t.Run("k=4", func(t *testing.T) { gathersAll(t, Params{N: n, K: 4, D: d}, n/8) })
 }
 
 // TestRankKeys: the rank count agrees with a plain count for any d up to

@@ -26,14 +26,16 @@ package core
 //     claim, so a worker that drew the next block simply claims fewer.
 //     Each worker walks its claims round by round: it gathers the round's
 //     loads into its own cells of the positional snapshot with one
-//     Store.Gather call, then runs the policy's store-free decision kernel
-//     (selector / argminLdv) over those cells while prefetching the next
-//     round's load lines — across claims too — so the next gather finds
-//     them in cache. Nothing writes to the store
-//     during the phase, so every snapshot cell holds the block-start load
-//     of its sample whichever worker reads it: the snapshot, and every
-//     decision made from it, is a pure function of (samples, loads),
-//     independent of P and of scheduling.
+//     Store.Gather call, then runs the policy's decision kernel (selector /
+//     argminLdv) over those cells while prefetching the next round's load
+//     lines — across claims too — so the next gather finds them in cache.
+//     While few enough balls are placed, a kd round first tries the serial
+//     engine's empty-leader walk (select.go), which reads only its
+//     leaders' loads and prefetches only the next round's leaders. Nothing
+//     writes to the store during the phase, so every load a worker reads
+//     is the block-start load of its bin whichever worker reads it: every
+//     decision is a pure function of (samples, loads), independent of P
+//     and of scheduling.
 //  3. apply (serial): placements commit one round per step() call, in
 //     round order, through the same store paths as the serial process.
 //
@@ -192,6 +194,13 @@ type shardEngine struct {
 	ahead bool         // worker 0 draws the next block during the decide phase
 	sels  []*selector  // per-worker decision lane (kd / serialized only)
 
+	// walkMax is the largest ball count at which kd rounds try the
+	// empty-leader walk (walkMaxBalls; -1 never), and walk whether the
+	// current decide phase does: decided once per phase from the ball
+	// count, so every worker decides every round of the phase alike.
+	walkMax int
+	walk    bool
+
 	blk    *kdBlock // current block (aliases eng's block)
 	single []int    // SingleChoice mode: the block's samples (= destinations)
 	ldv    []int    // frozen load snapshot, positional per sample
@@ -209,12 +218,13 @@ type shardEngine struct {
 // store. The caller has already validated shardEligible and workers >= 2.
 func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store loadvec.Store) *shardEngine {
 	se := &shardEngine{
-		policy: policy,
-		store:  store,
-		n:      p.N,
-		k:      1,
-		d:      p.D,
-		beta:   p.Beta,
+		policy:  policy,
+		store:   store,
+		n:       p.N,
+		k:       1,
+		d:       p.D,
+		beta:    p.Beta,
+		walkMax: -1,
 	}
 	if policy == SingleChoice {
 		se.d = 1
@@ -241,6 +251,7 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store
 			for w := range se.sels {
 				se.sels[w] = newSelector(p.D)
 			}
+			se.walkMax = walkMaxBalls(p)
 		case OnePlusBeta:
 			se.dests = make([]int, se.block)
 			se.probes = make([]uint8, se.block)
@@ -257,6 +268,9 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store
 		}
 	}
 	se.pfBase, se.pfBits = prefetchView(store)
+	for _, sc := range se.sels {
+		sc.pfBase, sc.pfBits = se.pfBase, se.pfBits
+	}
 	se.appIdx = se.block
 	se.decEnd = se.block
 	// The pool's phase body is bound once; the per-dispatch inputs travel
@@ -320,6 +334,7 @@ func (se *shardEngine) refill(pr *Process) {
 	}
 	// The window starts at appIdx: round 0 of a fresh block, or later
 	// after a Reset dropped the decisions of its tail.
+	se.walk = pr.balls <= se.walkMax
 	se.cursor.Store(int64(se.appIdx))
 	se.pool.dispatch()
 	se.decEnd = se.block
@@ -349,56 +364,86 @@ func (se *shardEngine) claim() (lo, hi int) {
 // rounds from the window's cursor until it is exhausted and decides them
 // one at a time: gather round r — its load lines were requested while the
 // round before it was decided — then decide r while prefetching the next
-// round's lines. The next range is claimed before a range's last round is
-// decided, so that round prefetches the next range's first round. Each
-// round is decided independently (own samples, own snapshot cells, own
-// nonce; kd workers use their own selector lane), so which worker claims a
-// round — the only P- and schedule-dependent quantity — cannot influence
-// any decision.
+// round's lines. A kd round of a walking phase runs the serial engine's
+// empty-leader walk instead (selector.walkRank), reading only its leaders'
+// loads and requesting only the next round's leader lines; the pipelined
+// keys are keyed to the round's place in the block and cleared at the
+// start of every share. The next range is claimed before a range's last
+// round is decided, so that round prefetches the next range's first round.
+// Each round is decided independently (own samples, own snapshot cells,
+// own nonce; kd workers use their own selector lane), so which worker
+// claims a round — the only P- and schedule-dependent quantity — cannot
+// influence any decision.
 func (se *shardEngine) decideClaims(w int) {
 	if w == 0 && se.ahead {
 		se.eng.drawAhead()
 	}
 	d := se.d
 	base, bits := se.pfBase, se.pfBits
+	if se.sels != nil {
+		se.sels[w].leadAt = 0
+	}
 	r, end := se.claim()
 	for r < end {
 		next := r + 1
 		if next == end {
 			next, end = se.claim()
 		}
+		if se.sels != nil {
+			se.decideKD(se.sels[w], r, next, end)
+			r = next
+			continue
+		}
 		samples := se.blk.samples[r*d : (r+1)*d]
 		ldv := se.ldv[r*d : (r+1)*d]
-		se.store.Gather(samples, ldv)
-		var pf []int
-		if base != nil && next < end {
-			pf = se.blk.samples[next*d : (next+1)*d]
-		}
 		nonce := se.blk.nonces[r]
-		switch se.policy {
-		case KDChoice, SerializedKD:
-			// Rank the full k selection; a partial round applies the
-			// first toPlace ranks, which is exactly the serial partial
-			// round's selection (the toPlace smallest slots of a strict
-			// total order are a prefix of the k smallest, ranked).
-			sc := se.sels[w]
-			sc.prefetchNext(base, bits, pf)
-			sel := sc.probeAndRank(samples, ldv, nonce, se.k)
-			kb := r * se.k
-			for i := range sel {
-				se.dests[kb+i] = sel[i].bin
-			}
-		case OnePlusBeta:
-			prefetchIdx(base, pf, bits)
+		se.store.Gather(samples, ldv)
+		if base != nil && next < end {
+			prefetchIdx(base, se.blk.samples[next*d:(next+1)*d], bits)
+		}
+		if se.policy == OnePlusBeta {
 			se.decideOnePlusBeta(r, samples, ldv, nonce)
-		default: // DChoice, CoarseDChoice
-			prefetchIdx(base, pf, bits)
+		} else { // DChoice, CoarseDChoice
 			if se.quantum > 1 {
 				quantize(ldv, se.quantum)
 			}
 			se.dests[r] = argminLdv(samples, ldv, nonce, 0)
 		}
 		r = next
+	}
+}
+
+// decideKD decides kd round r of the block on lane sc, with next the round
+// the worker decides after it (next >= end: none). Positions are the
+// rounds' places in the block, from 1, so a lane's pipelined leaders never
+// outlive the block. It ranks the full k selection; a partial round applies
+// the first toPlace ranks, which is exactly the serial partial round's
+// selection (the toPlace smallest slots of a strict total order are a
+// prefix of the k smallest, ranked).
+//
+//kd:hotpath
+func (se *shardEngine) decideKD(sc *selector, r, next, end int) {
+	d := se.d
+	samples, ldv, nonce := se.blk.samples[r*d:(r+1)*d], se.ldv[r*d:(r+1)*d], se.blk.nonces[r]
+	var pf []int
+	if next < end {
+		pf = se.blk.samples[next*d : (next+1)*d]
+	}
+	var sel []slot
+	if se.walk {
+		var pfNonce uint64
+		if pf != nil {
+			pfNonce = se.blk.nonces[next]
+		}
+		sel = sc.walkRank(se.store, samples, ldv, nonce, uint64(r+1), pf, pfNonce, uint64(next+1), se.k)
+	} else {
+		sc.prefetchNext(pf)
+		se.store.Gather(samples, ldv)
+		sel = sc.probeAndRank(samples, ldv, nonce, se.k)
+	}
+	kb := r * se.k
+	for i := range sel {
+		se.dests[kb+i] = sel[i].bin
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -263,19 +264,32 @@ func TestShardedResetInvalidatesDecisions(t *testing.T) {
 // engine re-decide a window that starts past round 0 of its block.
 func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
 	const seed = 2718
-	for _, tc := range []struct {
+	type oracleCase struct {
 		name   string
 		policy Policy
 		p      Params
-	}{
-		{"kd", KDChoice, Params{N: 61, K: 3, D: 9}},
-		{"dchoice", DChoice, Params{N: 61, D: 3}},
-	} {
+		walk   bool // force the empty-leader walk, which is exact at any k, past its gate
+	}
+	cases := []oracleCase{
+		{"kd", KDChoice, Params{N: 61, K: 3, D: 9}, false},
+		{"dchoice", DChoice, Params{N: 61, D: 3}, false},
+	}
+	// Light-load rounds on every exact store, which the decide phase ranks
+	// by the empty-leader walk: 250 balls fill at most 1/8 of the bins.
+	for _, st := range walkStores {
+		cases = append(cases,
+			oracleCase{fmt.Sprintf("kd-light/%v/k=2,d=64", st.kind), KDChoice, Params{N: 2048, K: 2, D: 64, Store: st.kind}, false},
+			oracleCase{fmt.Sprintf("kd-light/%v/k=4,d=130", st.kind), KDChoice, Params{N: 12000, K: 4, D: 130, Store: st.kind}, true})
+	}
+	for _, tc := range cases {
 		for _, block := range []int{7, 64} {
 			p := tc.p
 			p.Shards = 2
 			p.Block = block
 			got := MustNew(tc.policy, p, xrand.New(seed))
+			if tc.walk {
+				got.shard.walkMax = math.MaxInt
+			}
 			o := &blockOracle{policy: tc.policy, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
 			for leg, m := range []int{100, 250} {
 				if leg > 0 { // 34 (kd) / 100 (dchoice) rounds in: mid-block

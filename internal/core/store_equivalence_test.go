@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/loadvec"
 	"repro/internal/xrand"
@@ -411,7 +412,7 @@ func TestPrefetchChangesNoResult(t *testing.T) {
 		kind loadvec.StoreKind
 		n    int
 	}{
-		{loadvec.StoreDense, prefetchMinBytes / 8},
+		{loadvec.StoreDense, prefetchMinBytes / int(unsafe.Sizeof(int(0)))},
 		{loadvec.StoreCompact, prefetchMinBytes / 2},
 		{loadvec.StoreHist, prefetchMinBytes / 4},
 		{loadvec.StoreNibble, 2 * prefetchMinBytes},

@@ -78,7 +78,7 @@ func TestStoresOverHugeArrays(t *testing.T) {
 		}
 		shadow := map[int]int{}
 		for i := 0; i < 4096; i++ {
-			b := (i * 2654435761) % n
+			b := int(uint64(i) * 2654435761 % uint64(n))
 			if i%3 == 2 && shadow[b] > 0 {
 				st.Sub(b, 1)
 				shadow[b]--

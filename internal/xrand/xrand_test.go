@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -436,8 +437,12 @@ func TestFillRoundsMatchesSerial(t *testing.T) {
 // fill's rewind-and-replay branch runs constantly — and must still match
 // the serial stream word for word.
 func TestFillRoundsRejectionHeavy(t *testing.T) {
+	if bits.UintSize < 64 {
+		t.Skip("needs a bound near 2^63: a bound that fits a 32-bit int rejects under 2^-32 of all words, so the replay branch cannot be forced")
+	}
 	const d, rounds, seed = 10, 40, 99
-	n := 1<<62 + 3<<60 + 12345 // ~2^64 mod n ≈ 2^63: heavy rejection
+	bound := uint64(1<<62 + 3<<60 + 12345) // ~2^64 mod n ≈ 2^63: heavy rejection
+	n := int(bound)
 	a, b := New(seed), New(seed)
 	gotS := make([]int, rounds*d)
 	gotN := make([]uint64, rounds)

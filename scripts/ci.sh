@@ -2,9 +2,9 @@
 # ci.sh — the repository's check pipeline.
 #
 #   scripts/ci.sh          format check, vet, kdlint, the bench module's
-#                          vet/test/kdlint, build, arm64/386/darwin
-#                          cross-builds, full tests, a
-#                          tree-wide -race pass, the sharded engine's
+#                          vet/test/kdlint, build, arm64/darwin
+#                          cross-builds, a 386 vet and test run, full
+#                          tests, a tree-wide -race pass, the sharded engine's
 #                          suites at GOMAXPROCS 1, 2 (-race, five
 #                          times) and 4, parser fuzz smokes, the
 #                          hot-path escape gate, quick-mode smoke runs of
@@ -59,9 +59,11 @@ echo "==> cross-compile: arm64, 386, darwin (assembly and build-tagged fallbacks
 # every other port, and the huge-page advice is Linux-only with a no-op
 # elsewhere: build each variant so none of them rots, and vet the arm64
 # build so asmdecl checks its assembly the way the host vet above checks
-# amd64's.
+# amd64's. The 386 leg vets and runs the whole suite, the one run of every
+# test on a 32-bit int (an amd64 Linux host executes 386 binaries).
 GOARCH=arm64 go build ./...
-GOARCH=386 go build ./...
+GOARCH=386 go vet ./...
+GOARCH=386 go test ./...
 GOOS=darwin go build ./...
 GOARCH=arm64 go vet ./internal/core/
 
