@@ -1,10 +1,12 @@
 package kdchoice_test
 
 // The benchmark harness regenerates every table and figure of the paper at
-// laptop scale, one benchmark per experiment (see DESIGN.md §4 for the
-// experiment index). Benchmarks report the headline quantity of their
-// experiment through b.ReportMetric, so `go test -bench . -benchmem`
-// doubles as a shape check of the reproduction:
+// laptop scale, one benchmark per experiment (the list below is the
+// experiment index; `go run ./cmd/experiments` prints the same experiments
+// as a paper-versus-measured report). Benchmarks report the headline
+// quantity of their experiment through b.ReportMetric, so
+// `go test -bench . -benchmem` doubles as a shape check of the
+// reproduction:
 //
 //	BenchmarkTable1/...        — T1   (max load per (k,d) cell)
 //	BenchmarkFigure1Profile    — F1   (B1 − B_β0 decomposition)

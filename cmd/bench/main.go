@@ -15,10 +15,10 @@
 // The grids:
 //
 //	kd      per-round micro grid through Allocator.Round: the (k,d)-choice
-//	        acceptance cell (n = 1e5, k = 2, d = 64) on both selection
-//	        kernels, the 4-shard superstep engine, a store and a superstep
-//	        ablation, the flat-ranker and counting-path shapes, and one
-//	        cell per baseline policy
+//	        acceptance cell (n = 1e5, k = 2, d = 64) on the serial and the
+//	        4-shard superstep engine, a store and a superstep ablation, the
+//	        flat-ranker and counting-path shapes, and one cell per baseline
+//	        policy
 //	scale   one fixed Place per cell at n = 1e6 and 1e7 (k = 2, d = 64) and
 //	        an m = 100n heavy-load cell, one column per exact store
 //	serve   mixed insert/delete streams (churn = per-op delete probability,
@@ -109,11 +109,9 @@ func (c cell) name() string {
 	cfg := c.Cfg
 	name := fmt.Sprintf("%v/n=%d", cfg.Policy, cfg.Bins)
 	if cfg.Policy == kdchoice.KDChoice {
-		kernel := "fast"
-		if cfg.ReferenceSelect {
-			kernel = "sort"
-		}
-		name = fmt.Sprintf("kd/%s/n=%d", kernel, cfg.Bins)
+		// "fast" names the selection kernel the (k,d) cells have always
+		// run; the tracked files and the ratchet match cells by name.
+		name = fmt.Sprintf("kd/fast/n=%d", cfg.Bins)
 	}
 	if c.Op != opRound {
 		name = c.Op + "/" + name
@@ -151,6 +149,15 @@ func (c cell) name() string {
 	return name
 }
 
+// weight draws one served insert's weight: uniform on [1, MaxWeight] when
+// MaxWeight > 1, else 1 without consulting r.
+func (c cell) weight(r *rand.Rand) int {
+	if c.MaxWeight > 1 {
+		return 1 + r.Intn(c.MaxWeight)
+	}
+	return 1
+}
+
 // grid returns the named grid's cells, calibration cell first, or nil for
 // an unknown name.
 func grid(name string, quick bool) []cell {
@@ -179,14 +186,12 @@ func grid(name string, quick bool) []cell {
 	switch name {
 	case "kd":
 		acc := kd(n, 2, 64, kdchoice.StoreDense)
-		// StaleBatch runs serial only; Shards: 1 keeps -shards off it.
+		// StaleBatch and d-choice run serial only; Shards: 1 keeps
+		// -shards off them.
 		stale := func(k int) cell {
 			return round(kdchoice.Config{Bins: n, K: k, D: 2, Seed: 1, Policy: kdchoice.StaleBatch, Shards: 1})
 		}
-		sort, sharded, hist, block1, serialized := acc, acc, acc, acc, acc
-		// The reference kernel runs serial only; Shards: 1 keeps the
-		// -shards ablation off it.
-		sort.ReferenceSelect, sort.Shards = true, 1
+		sharded, hist, block1, serialized := acc, acc, acc, acc
 		sharded.Shards = 4
 		hist.Store = kdchoice.StoreHist
 		// Superstep ablation: Block=1 pays every per-round fixed cost the
@@ -194,7 +199,7 @@ func grid(name string, quick bool) []cell {
 		block1.Block = 1
 		serialized.Policy = kdchoice.Serialized
 		cells = append(cells,
-			ratchet(round(acc)), round(sort), ratchet(round(sharded)), round(hist), round(block1),
+			ratchet(round(acc)), ratchet(round(sharded)), round(hist), round(block1),
 			// k=8, d=16 rounds take the flat ranker, k=128, d=192 the
 			// counting path.
 			ratchet(round(kd(n, 8, 16, kdchoice.StoreDense))),
@@ -203,7 +208,7 @@ func grid(name string, quick bool) []cell {
 			round(serialized),
 			// The per-ball argmin: d-choice and the one-gather StaleBatch
 			// round.
-			ratchet(round(kdchoice.Config{Bins: n, D: 2, Seed: 1, Policy: kdchoice.DChoice})),
+			ratchet(round(kdchoice.Config{Bins: n, D: 2, Seed: 1, Policy: kdchoice.DChoice, Shards: 1})),
 			round(kdchoice.Config{Bins: n, Beta: 0.5, Seed: 1, Policy: kdchoice.OnePlusBeta}),
 			ratchet(stale(8)),
 			stale(256),
@@ -269,21 +274,20 @@ func grid(name string, quick bool) []cell {
 
 // config is a cell's recorded parameters.
 type config struct {
-	Op              string  `json:"op"`
-	Policy          string  `json:"policy"`
-	Store           string  `json:"store"`
-	N               int     `json:"n"`
-	K               int     `json:"k,omitempty"`
-	D               int     `json:"d,omitempty"`
-	Beta            float64 `json:"beta,omitempty"`
-	ReferenceSelect bool    `json:"reference_select,omitempty"`
-	Block           int     `json:"block,omitempty"`
-	Shards          int     `json:"shards,omitempty"`
-	Warm            int     `json:"warm,omitempty"`
-	Balls           int     `json:"balls,omitempty"`
-	Churn           float64 `json:"churn,omitempty"`
-	MaxWeight       int     `json:"max_weight,omitempty"`
-	Faults          string  `json:"faults,omitempty"`
+	Op        string  `json:"op"`
+	Policy    string  `json:"policy"`
+	Store     string  `json:"store"`
+	N         int     `json:"n"`
+	K         int     `json:"k,omitempty"`
+	D         int     `json:"d,omitempty"`
+	Beta      float64 `json:"beta,omitempty"`
+	Block     int     `json:"block,omitempty"`
+	Shards    int     `json:"shards,omitempty"`
+	Warm      int     `json:"warm,omitempty"`
+	Balls     int     `json:"balls,omitempty"`
+	Churn     float64 `json:"churn,omitempty"`
+	MaxWeight int     `json:"max_weight,omitempty"`
+	Faults    string  `json:"faults,omitempty"`
 }
 
 // cost is what a cell's op costs.
@@ -364,9 +368,14 @@ func measure(c cell, goal time.Duration) (result, error) {
 			// grows inside the timed loop.
 			a.Reserve(c.Warm + n)
 			live = make([]kdchoice.Ball, 0, c.Warm+n)
+			// The warm-up draws its weights from the cell's own law on a
+			// generator of its own, which leaves the op mix unchanged: a
+			// weighted cell's registry then allocates its weight array
+			// before the timed loop, not inside it.
+			warm := rand.New(rand.NewSource(11))
 			for i := 0; i < c.Warm && err == nil; i++ {
 				var ball kdchoice.Ball
-				ball, err = a.Insert()
+				ball, err = a.InsertW(c.weight(warm))
 				live = append(live, ball)
 			}
 		} else {
@@ -393,12 +402,8 @@ func measure(c cell, goal time.Duration) (result, error) {
 					live = live[:len(live)-1]
 					continue
 				}
-				w := 1
-				if c.MaxWeight > 1 {
-					w = 1 + mix.Intn(c.MaxWeight)
-				}
 				var ball kdchoice.Ball
-				ball, err = a.InsertW(w)
+				ball, err = a.InsertW(c.weight(mix))
 				live = append(live, ball)
 			}
 		}
@@ -419,7 +424,7 @@ func measure(c cell, goal time.Duration) (result, error) {
 		}
 		res := result{Name: name, Config: config{
 			Op: c.Op, Policy: a.Config().Policy.String(), Store: cfg.Store.String(),
-			N: cfg.Bins, K: cfg.K, D: cfg.D, Beta: cfg.Beta, ReferenceSelect: cfg.ReferenceSelect,
+			N: cfg.Bins, K: cfg.K, D: cfg.D, Beta: cfg.Beta,
 			Block: cfg.Block, Shards: cfg.Shards, Warm: c.Warm, Balls: c.Balls,
 			Churn: c.Churn, MaxWeight: c.MaxWeight, Faults: c.Faults,
 		}}

@@ -14,7 +14,7 @@ import (
 )
 
 func TestGridShape(t *testing.T) {
-	sizes := map[string]int{"kd": 14, "scale": 10, "serve": 7, "approx": 6, "faults": 7}
+	sizes := map[string]int{"kd": 13, "scale": 10, "serve": 7, "approx": 6, "faults": 7}
 	for _, quick := range []bool{false, true} {
 		for _, g := range gridNames {
 			cells := grid(g, quick)
@@ -105,6 +105,28 @@ func TestRatchetCells(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("ratchet cells:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestTrackedFilesMatchGrids: each tracked BENCH_<grid>.json names exactly
+// the cells of its full-size grid, in grid order, so a cell added to or
+// removed from a grid must be recorded in or removed from its file too.
+func TestTrackedFilesMatchGrids(t *testing.T) {
+	for _, g := range gridNames {
+		rep, err := readReport(filepath.Join("..", "..", "BENCH_"+g+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tracked, want []string
+		for _, c := range rep.Cells {
+			tracked = append(tracked, c.Name)
+		}
+		for _, c := range grid(g, false) {
+			want = append(want, c.name())
+		}
+		if strings.Join(tracked, "\n") != strings.Join(want, "\n") {
+			t.Errorf("BENCH_%s.json tracks cells:\n%s\nthe grid has:\n%s", g, strings.Join(tracked, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 
@@ -354,27 +376,25 @@ func TestOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	stale := 0
+	serial := 0
 	for _, c := range cells {
 		if seen[c.name()] {
 			t.Fatalf("duplicate cell %s after override", c.name())
 		}
 		seen[c.name()] = true
-		if c.Cfg.ReferenceSelect && c.Cfg.Shards != 1 {
-			t.Fatalf("-shards reached the serial reference cell: %s", c.name())
-		}
-		if c.Cfg.Policy == kdchoice.StaleBatch {
-			stale++
+		switch c.Cfg.Policy {
+		case kdchoice.StaleBatch, kdchoice.DChoice:
+			serial++
 			if c.Cfg.Shards != 1 {
-				t.Fatalf("-shards reached a serial-only stale-batch cell: %s", c.name())
+				t.Fatalf("-shards reached a serial-only %v cell: %s", c.Cfg.Policy, c.name())
 			}
 		}
 		if c.Cfg.Shards == 0 || c.Cfg.Block == 0 {
 			t.Fatalf("cell %s not overridden", c.name())
 		}
 	}
-	if stale != 2 {
-		t.Fatalf("override kept %d stale-batch cells, want 2", stale)
+	if serial != 3 {
+		t.Fatalf("override kept %d stale-batch and d-choice cells, want 3", serial)
 	}
 	// -block 1 turns the acceptance cell into the block=1 ablation cell;
 	// the first of the colliding pair is kept.

@@ -126,10 +126,14 @@ func cellFloat(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestVerdictsMatchTables: at -scale quick, E1's and E5's measured
+// TestVerdictsMatchTables: at -scale quick, the computed measured
 // sentences must state what their own tables show: E1 the ratio of the
 // largest to the smallest n and each (k,d) row's growth of mean max load,
-// E5 whether the d=k+ln n row beats, ties or does not beat two-choice.
+// E5 whether the d=k+ln n row beats, ties or does not beat two-choice,
+// E3b the growth of n and each gap against its upper term, E3c the
+// sketch's inflation over the exact max load, and A2 the search-cost
+// ratios. A claim the table does not support reads "not reproduced at
+// this n".
 func TestVerdictsMatchTables(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-scale", "quick"}, &buf); err != nil {
@@ -200,5 +204,67 @@ func TestVerdictsMatchTables(t *testing.T) {
 	}
 	if verdict != "beats" && !strings.Contains(measured, "not reproduced at this n") {
 		t.Errorf("E5 sentence %q claims more than its table shows", measured)
+	}
+
+	// E3b rows: n, balls, mean max, measured gap, bins > avg, upper term.
+	rows, measured = section(t, report, "## E3b")
+	var gaps, uppers []string
+	bounded := true
+	for _, r := range rows {
+		gaps = append(gaps, r[3])
+		uppers = append(uppers, r[5])
+		bounded = bounded && cellFloat(t, r[3]) <= cellFloat(t, r[5])
+	}
+	first, err := strconv.Atoi(rows[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := strconv.Atoi(rows[len(rows)-1][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("while n grows %d× (%d → %d)", last/first, first, last); !strings.Contains(measured, want) {
+		t.Errorf("E3b sentence %q does not say %q", measured, want)
+	}
+	if want := fmt.Sprintf("the measured gap reads %s against an upper term of %s", strings.Join(gaps, ", "), strings.Join(uppers, ", ")); !strings.Contains(measured, want) {
+		t.Errorf("E3b sentence %q does not say %q", measured, want)
+	}
+	if got, want := strings.Contains(measured, "not reproduced at this n"), !bounded || last/first < 100; got != want {
+		t.Errorf("E3b sentence %q: says not reproduced = %v, table says %v", measured, got, want)
+	}
+
+	// E3c rows: n, store, measured B/bin, mean max, mean gap, max
+	// inflation; "small" is at most one ball.
+	rows, measured = section(t, report, "## E3c")
+	var infl []string
+	small := true
+	for _, r := range rows {
+		if r[1] == "sketch" {
+			infl = append(infl, fmt.Sprintf("%+.2f", cellFloat(t, r[5])))
+			small = small && cellFloat(t, r[5]) <= 1
+		}
+	}
+	if want := "by " + strings.Join(infl, ", "); !strings.Contains(measured, want) {
+		t.Errorf("E3c sentence %q does not say %q", measured, want)
+	}
+	if !small && !strings.Contains(measured, "small one-sided max-load inflation is not reproduced at this n") {
+		t.Errorf("E3c sentence %q calls an inflation of %s small", measured, strings.Join(infl, ", "))
+	}
+
+	// A2 rows: k, kd max, two max, rand max, kd msgs/file, two msgs/file,
+	// kd search, two search; search cost halves at a ratio of 0.5 or less.
+	rows, measured = section(t, report, "## A2")
+	var ratios []string
+	halves := true
+	for _, r := range rows {
+		kd, two := cellFloat(t, r[6]), cellFloat(t, r[7])
+		ratios = append(ratios, fmt.Sprintf("%.2f", kd/two))
+		halves = halves && 2*kd <= two
+	}
+	if want := fmt.Sprintf("(ratios %s)", strings.Join(ratios, ", ")); !strings.Contains(measured, want) {
+		t.Errorf("A2 sentence %q does not say %q", measured, want)
+	}
+	if got := strings.Contains(measured, "search cost halves is not reproduced at this n"); got == halves {
+		t.Errorf("A2 sentence %q: search ratios %s, halves = %v", measured, strings.Join(ratios, ", "), halves)
 	}
 }

@@ -21,8 +21,8 @@
 // block of rounds run in parallel across that many workers, bit-identical
 // for ANY worker count (single-choice exactly matches serial; the round
 // policies trade a -block-bounded staleness horizon for the parallelism).
-// The default 0, like 1, runs serial on every host; stale-batch runs
-// serial only and rejects -shards >= 2.
+// The default 0, like 1, runs serial on every host; stale-batch, dchoice
+// and dchoice-coarse run serial only and reject -shards >= 2.
 //
 // -churn (poisson:R, adversarial:R, diurnal:R,A) or -weights (fixed:W,
 // exp:MEAN, uniform:LO,HI, zipf:S,MAX) switch to the online serving mode:
@@ -66,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	beta := fs.Float64("beta", 0.5, "beta for oneplusbeta")
 	storeName := fs.String("store", "dense", "bin-load store, one of:\n"+strings.Join(kdchoice.StoreHelp(), "\n"))
 	block := fs.Int("block", 0, "superstep size in rounds for the round policies (0 = auto, bit-identical for any value)")
-	shards := fs.Int("shards", 0, "parallel decision workers (0 or 1 = serial; >=2 shards the fixed-prologue policies except stale-batch, bit-identical for any worker count; staleness horizon = -block for the round policies)")
+	shards := fs.Int("shards", 0, "parallel decision workers (0 or 1 = serial; >=2 shards kd, fixed-σ kd-serialized, single and oneplusbeta, bit-identical for any worker count; staleness horizon = -block for the round policies)")
 	seed := fs.Uint64("seed", 1, "root seed")
 	profile := fs.Int("profile", 10, "print the top P mean sorted loads (0 to disable)")
 	churnName := fs.String("churn", "none", "serving churn model: "+strings.Join(kdchoice.ChurnNames(), ", ")+" (non-none serves an online stream)")

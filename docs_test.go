@@ -13,8 +13,7 @@ import (
 // tracked BENCH_*.json file is pinned here, so refreshing a file without
 // updating its quotes (or the reverse) fails instead of drifting silently.
 // Each row's regexp captures one quoted number; the file's value, divided
-// by unit (and by the same field of the per cell, for a ratio), must print
-// to exactly that number at the quote's precision.
+// by unit, must print to exactly that number at the quote's precision.
 func TestReadmeQuotesMatchBench(t *testing.T) {
 	const (
 		fast   = "kd/fast/n=100000,k=2,d=64"
@@ -25,23 +24,21 @@ func TestReadmeQuotesMatchBench(t *testing.T) {
 	)
 	rows := []struct {
 		re, file, cell, field string
-		per                   string
 		unit                  float64
 	}{
-		{`Current tracked cell[^*]*\*\*(\d+) ns/round`, "BENCH_kd.json", fast, "ns_per_op", "", 1},
-		{`Current tracked cell[^*]*\*\*\d+ ns/round /\s+([\d.]+)M balls/sec\*\*`, "BENCH_kd.json", fast, "balls_per_sec", "", 1e6},
-		{`fast kernel\s+([\d.]+)× the reference sort kernel`, "BENCH_kd.json", "kd/sort/n=100000,k=2,d=64", "ns_per_op", fast, 1},
-		{`n = 10⁷, k=2, d=64\): ([\d.]+) /`, "BENCH_scale.json", scale7 + tail7, "bytes_per_bin", "", 1},
-		{`n = 10⁷, k=2, d=64\): [\d.]+ /\s+([\d.]+)\s+/`, "BENCH_scale.json", scale7 + ",store=compact" + tail7, "bytes_per_bin", "", 1},
-		{`n = 10⁷, k=2, d=64\): [\d.]+ /\s+[\d.]+\s+/\s+([\d.]+) bytes/bin`, "BENCH_scale.json", scale7 + ",store=hist" + tail7, "bytes_per_bin", "", 1},
-		{`\(compact ([\d.]+)M vs dense`, "BENCH_scale.json", scale7 + ",store=compact" + tail7, "balls_per_sec", "", 1e6},
-		{`\(compact [\d.]+M vs dense ([\d.]+)M\s+balls/sec in the current recording`, "BENCH_scale.json", scale7 + tail7, "balls_per_sec", "", 1e6},
-		{`read it at (\d+)–\d+ ns/round`, "BENCH_kd.json", "single/n=100000", "ns_per_op", "", 1},
-		{`read it at \d+–(\d+) ns/round`, "BENCH_faults.json", "single/n=100000", "ns_per_op", "", 1},
-		{`tracked serving cell[^*]*\*\*([\d.]+)M\s+ops/sec`, "BENCH_serve.json", serve, "ops_per_sec", "", 1e6},
-		{`tracked serving cell[^*]*\*\*[\d.]+M\s+ops/sec, (\d+) allocs/op\*\*`, "BENCH_serve.json", serve, "allocs_per_op", "", 1},
-		{`tracked fail\+evict cells read \*\*(\d+) and`, "BENCH_faults.json", evict + "+loss:0.1+retry:2+evict", "ns_per_op", "", 1},
-		{`tracked fail\+evict cells read \*\*\d+ and (\d+) ns/op\*\*`, "BENCH_faults.json", evict + "+evict", "ns_per_op", "", 1},
+		{`Current tracked cell[^*]*\*\*(\d+) ns/round`, "BENCH_kd.json", fast, "ns_per_op", 1},
+		{`Current tracked cell[^*]*\*\*\d+ ns/round /\s+([\d.]+)M balls/sec\*\*`, "BENCH_kd.json", fast, "balls_per_sec", 1e6},
+		{`n = 10⁷, k=2, d=64\): ([\d.]+) /`, "BENCH_scale.json", scale7 + tail7, "bytes_per_bin", 1},
+		{`n = 10⁷, k=2, d=64\): [\d.]+ /\s+([\d.]+)\s+/`, "BENCH_scale.json", scale7 + ",store=compact" + tail7, "bytes_per_bin", 1},
+		{`n = 10⁷, k=2, d=64\): [\d.]+ /\s+[\d.]+\s+/\s+([\d.]+) bytes/bin`, "BENCH_scale.json", scale7 + ",store=hist" + tail7, "bytes_per_bin", 1},
+		{`\(compact ([\d.]+)M vs dense`, "BENCH_scale.json", scale7 + ",store=compact" + tail7, "balls_per_sec", 1e6},
+		{`\(compact [\d.]+M vs dense ([\d.]+)M\s+balls/sec in the current recording`, "BENCH_scale.json", scale7 + tail7, "balls_per_sec", 1e6},
+		{`read it at (\d+)–\d+ ns/round`, "BENCH_kd.json", "single/n=100000", "ns_per_op", 1},
+		{`read it at \d+–(\d+) ns/round`, "BENCH_faults.json", "single/n=100000", "ns_per_op", 1},
+		{`tracked serving cell[^*]*\*\*([\d.]+)M\s+ops/sec`, "BENCH_serve.json", serve, "ops_per_sec", 1e6},
+		{`tracked serving cell[^*]*\*\*[\d.]+M\s+ops/sec, (\d+) allocs/op\*\*`, "BENCH_serve.json", serve, "allocs_per_op", 1},
+		{`tracked fail\+evict cells read \*\*(\d+) and`, "BENCH_faults.json", evict + "+loss:0.1+retry:2+evict", "ns_per_op", 1},
+		{`tracked fail\+evict cells read \*\*\d+ and (\d+) ns/op\*\*`, "BENCH_faults.json", evict + "+evict", "ns_per_op", 1},
 	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -78,13 +75,6 @@ func TestReadmeQuotesMatchBench(t *testing.T) {
 			t.Fatalf("%s: quoted cell %s missing", r.file, r.cell)
 		}
 		v := c[r.field] / r.unit
-		if r.per != "" {
-			p, ok := cells[r.per]
-			if !ok || p[r.field] <= 0 {
-				t.Fatalf("%s: ratio cell %s missing", r.file, r.per)
-			}
-			v /= p[r.field]
-		}
 		quoted := string(m[1])
 		decimals := 0
 		if i := strings.IndexByte(quoted, '.'); i >= 0 {

@@ -168,8 +168,7 @@ type Sweep struct {
 	// (KDChoice when that is unset too).
 	Policies []Policy
 	// Base supplies every Config field the grid does not vary (Beta,
-	// Sigma, ReferenceSelect, Seed, ...). Bins/K/D/Policy are overwritten
-	// per cell.
+	// Sigma, Store, Seed, ...). Bins/K/D/Policy are overwritten per cell.
 	Base Config
 	// Balls, Runs, Seed, Workers, CollectLoads and CollectProfiles
 	// configure the Experiment built by Run, exactly as the Experiment

@@ -30,29 +30,23 @@ func benchPlace(b *testing.B, policy Policy, p Params) {
 	b.ReportMetric(float64(batch), "balls/op")
 }
 
-// BenchmarkRound is the kernel ablation on the acceptance cell (n = 1e5,
-// k = 2, d = 64): one (k,d)-choice round per op, counting kernel vs the
-// reference sort kernel. The fast kernel must stay allocation-free and
-// ≥1.5× faster than sort (tracked in BENCH_kd.json via cmd/bench).
+// BenchmarkRound times one (k,d)-choice round per op on the acceptance
+// cell (n = 1e5, k = 2, d = 64), which must stay allocation-free (tracked
+// in BENCH_kd.json via cmd/bench).
 func BenchmarkRound(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		ref  bool
-	}{{"fast", false}, {"sort", true}} {
-		b.Run(tc.name+"/n=100000,k=2,d=64", func(b *testing.B) {
-			pr, err := New(KDChoice, Params{N: 100000, K: 2, D: 64, ReferenceSelect: tc.ref}, xrand.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			pr.Place(100000) // steady state: every bin has load ~1
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pr.Round()
-			}
-			b.ReportMetric(float64(pr.p.K), "balls/op")
-		})
-	}
+	b.Run("fast/n=100000,k=2,d=64", func(b *testing.B) {
+		pr, err := New(KDChoice, Params{N: 100000, K: 2, D: 64}, xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pr.Place(100000) // steady state: every bin has load ~1
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pr.Round()
+		}
+		b.ReportMetric(float64(pr.p.K), "balls/op")
+	})
 }
 
 func BenchmarkPlaceKD(b *testing.B) {

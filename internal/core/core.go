@@ -52,8 +52,9 @@
 // placements apply serially in round order. Sharded results are
 // bit-identical for ANY worker count (snapshot cells are positional, not
 // scheduling-dependent); relative to the serial process they are
-// bit-identical wherever the policy's semantics allow (SingleChoice
-// always; the load-coupled round policies at Block = 1) and diverge only
+// bit-identical wherever the policy's semantics allow (SingleChoice for
+// any Block while only Place draws, and at Block = 1 under interleaved
+// Inserts; the load-coupled round policies at Block = 1) and diverge only
 // by bounded within-block staleness otherwise. Shards 0 and 1 run serial
 // for every policy, so the engine never depends on the host.
 package core
@@ -206,14 +207,6 @@ type Params struct {
 	// RandomSigma makes SerializedKD draw a fresh uniformly random σ_r each
 	// round (overrides Sigma).
 	RandomSigma bool
-	// ReferenceSelect switches the round-based policies (KDChoice,
-	// SerializedKD) to the reference sort-based slot-selection kernel
-	// instead of the default O(d + k log k) counting kernel. Both kernels
-	// consume the random stream identically and induce the same allocation
-	// law (see select.go); the reference kernel exists as the oracle for
-	// equivalence testing and debugging. It runs on the serial engine only:
-	// Validate rejects it with Shards > 1.
-	ReferenceSelect bool
 	// Store selects the bin-load representation: the dense []int reference
 	// (zero value), the compact 2-bytes/bin store with overflow escape,
 	// the histogram-indexed store with O(1) occupancy statistics, the
@@ -250,15 +243,17 @@ type Params struct {
 	// and decide them; placements then apply serially in round order.
 	// Results are bit-identical across ANY shard count >= 2 (which worker
 	// decides a round cannot reach the decision). Relative to the serial
-	// process: SingleChoice is bit-identical always; KDChoice, fixed-σ
-	// SerializedKD, DChoice, and CoarseDChoice are bit-identical at
-	// Block = 1 and otherwise see each round's loads as of its block start
-	// (bounded within-block staleness); OnePlusBeta shards under its own
-	// two-probe prologue (D <= 2 only) and matches the serial law only in
-	// distribution. StaleBatch (whose serial round gathers all of its
-	// probes in one pass) and the policies with data-dependent prologues
-	// (AdaptiveKD, DynamicKD, random-σ SerializedKD, AlwaysGoLeft, SAx0,
-	// ThresholdChoice) reject Shards > 1.
+	// process: SingleChoice is bit-identical at any Block for streams of
+	// Place calls alone, and at Block = 1 when Inserts interleave (a
+	// sharded refill pre-draws its whole block, so an Insert draws after
+	// that block in the stream); KDChoice and fixed-σ SerializedKD are
+	// bit-identical at Block = 1 and otherwise see each round's loads as of
+	// its block start (bounded within-block staleness); OnePlusBeta shards
+	// under its own two-probe prologue (D <= 2 only) and matches the serial
+	// law only in distribution. StaleBatch, DChoice and CoarseDChoice,
+	// which sharding does not speed up, and the policies with
+	// data-dependent prologues (AdaptiveKD, DynamicKD, random-σ
+	// SerializedKD, AlwaysGoLeft, SAx0, ThresholdChoice) reject Shards > 1.
 	//
 	// 0 and 1 run the serial engine for every policy, so the engine never
 	// depends on the host; sharding is an explicit opt-in.
@@ -321,8 +316,6 @@ type Process struct {
 
 	// Reused per-round buffers (never escape a round).
 	samples  []int // a round's samples (StaleBatch: all k·D of them)
-	sortBuf  []int // bin-sorted copy of samples (reference kernel)
-	slots    []slot
 	ldv      []int // per-sample loads (kernel gather pass)
 	sigmaBuf []int
 	cands    []int // distinct candidate bins (AdaptiveKD) / dests (StaleBatch)
@@ -462,14 +455,14 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 			width = p.K * d // a round gathers every ball's probes at once
 		}
 		pr.samples = make([]int, width)
-		pr.sortBuf = make([]int, d)
-		pr.slots = make([]slot, 0, d)
 		pr.ldv = make([]int, width)
 	}
-	if policy == KDChoice || policy == SerializedKD {
+	if policy == KDChoice || policy == SerializedKD || policy == DynamicKD {
 		pr.selsc = newSelector(p.D)
 		pr.selsc.pfBase, pr.selsc.pfBits = pr.pfBase, pr.pfBits
 		pr.binsBuf = make([]int, 0, p.D)
+	}
+	if policy == KDChoice || policy == SerializedKD {
 		pr.walkMax = walkMaxBalls(p)
 	}
 	if policy == SerializedKD {
@@ -556,11 +549,6 @@ func Validate(policy Policy, p Params) error {
 		// estimates would desynchronize (and can exceed) it.
 		return fmt.Errorf("core: SAx0 requires an exact store, got %v (its load-rank bookkeeping breaks under approximate loads)", p.Store)
 	}
-	if p.ReferenceSelect && p.Shards > 1 && (policy == KDChoice || policy == SerializedKD) {
-		// The sharded decide lane ranks with the counting kernel only;
-		// accepting the pair would silently run that kernel instead.
-		return fmt.Errorf("core: ReferenceSelect runs on the serial engine only; got Shards = %d (use Shards <= 1 with ReferenceSelect)", p.Shards)
-	}
 	if p.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d, must be non-negative", p.Shards)
 	}
@@ -581,13 +569,16 @@ func Validate(policy Policy, p Params) error {
 		}
 	}
 	if p.Shards > 1 {
-		if policy == StaleBatch {
-			// Its serial round already reads every probe of the round in
-			// one gather; a pool barrier per round only slows it down.
-			return fmt.Errorf("core: Shards = %d with stale-batch: stale-batch runs on the serial engine only (use Shards <= 1)", p.Shards)
+		switch policy {
+		case StaleBatch, DChoice, CoarseDChoice:
+			// Their rounds pre-draw, but sharding them does not pay: a
+			// stale-batch round already reads every probe in one gather,
+			// and sharded d-choice measured no faster than serial at
+			// n = 10⁵ and 10⁷.
+			return fmt.Errorf("core: Shards = %d with %v: %v runs on the serial engine only (use Shards <= 1)", p.Shards, policy, policy)
 		}
 		if !shardEligible(policy, p) {
-			return fmt.Errorf("core: Shards > 1 requires a fixed-prologue policy (kd, fixed-σ kd-serialized, dchoice, dchoice-coarse, single, oneplusbeta); %v rounds cannot be pre-drawn", policy)
+			return fmt.Errorf("core: Shards > 1 requires a fixed-prologue policy (kd, fixed-σ kd-serialized, single, oneplusbeta); %v rounds cannot be pre-drawn", policy)
 		}
 		if policy == OnePlusBeta && p.D > 2 {
 			// The sharded prologue draws two probes per ball, which matches

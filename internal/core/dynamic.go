@@ -3,8 +3,9 @@ package core
 // DynamicKD instantiates the paper's second Section 7 future-work sketch:
 // "the performance of (k,d)-choice can be further improved by adjusting the
 // parameter k dynamically in each round". The paper gives no concrete
-// policy, so this file defines one natural instantiation (documented in
-// DESIGN.md as our substitution):
+// policy, so this file defines one natural instantiation, a substitution of
+// this repository (cmd/experiments reports it in ablation AB1, beside the
+// strict rule and the water-filling variant):
 //
 // Each round samples d bins as usual and materializes the slots. Let
 // T = floor(ballsPlaced/n) + 1 be the current target ceiling (the best
@@ -19,28 +20,16 @@ package core
 // d per round but the balls-per-round (and so the cost per ball) adapts.
 
 // roundDynamic places between 1 and maxPlace balls and returns the number
-// placed.
+// placed. It ranks min(maxPlace, d) slots on the (k,d) selection kernel and
+// cuts the ranked prefix at the ceiling: the slots at or below it are a
+// prefix of the ranking, since it orders slots by height first.
 func (pr *Process) roundDynamic(maxPlace int) int {
-	pr.makeSlots(pr.roundPrologue())
-	sortSlots(pr.slots)
+	sel := pr.rankSelectWith(pr.roundPrologue(), min(maxPlace, pr.p.D))
 	target := pr.balls/pr.n + 1
-	toPlace := 0
-	for toPlace < len(pr.slots) && toPlace < maxPlace && pr.slots[toPlace].height <= target {
+	toPlace := 1 // progress guarantee: the lowest slot receives a ball
+	for toPlace < len(sel) && sel[toPlace].height <= target {
 		toPlace++
 	}
-	if toPlace == 0 {
-		toPlace = 1 // progress guarantee: lowest slot receives a ball
-	}
-	placed, heights := pr.beginObs(toPlace)
-	for s := 0; s < toPlace; s++ {
-		b := pr.slots[s].bin
-		h := pr.place(b)
-		if placed != nil {
-			placed[s] = b
-			heights[s] = h
-		}
-	}
-	pr.messages += int64(pr.p.D)
-	pr.notify(pr.samples, placed, heights)
+	pr.placeSelected(sel[:toPlace])
 	return toPlace
 }

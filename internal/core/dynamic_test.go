@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/stats"
@@ -134,4 +135,31 @@ func TestDynamicKDRuleViaObserver(t *testing.T) {
 		ballsSoFar += len(placed)
 	}))
 	pr.Place(512)
+}
+
+// TestDynamicKDMatchesOracle compares DynamicKD with blockOracle round by
+// round: the receiving bins and their heights in rank order, and the final
+// loads. The rounds rank all d slots, or every slot a final round may
+// still place, on each ranking path: the streaming ranker at d <= 4, the
+// flat ranker up to d = 48 and the counting path past it, with the
+// fall-through of repeated bins at n = 8. Two Place calls per run end in
+// partial rounds, on every exact store, at the auto-sized superstep and at
+// Block = 1.
+func TestDynamicKDMatchesOracle(t *testing.T) {
+	for _, tc := range []struct{ n, d int }{{8, 2}, {8, 6}, {100, 3}, {100, 4}, {512, 5}, {512, 16}, {4096, 48}, {4096, 49}, {4096, 64}} {
+		for _, st := range walkStores {
+			for _, block := range []int{0, 1} {
+				name := fmt.Sprintf("n=%d,d=%d/%v/block=%d", tc.n, tc.d, st.kind, block)
+				p := Params{N: tc.n, D: tc.d, Store: st.kind, Block: block}
+				const seed = 41
+				pr := MustNew(DynamicKD, p, xrand.New(seed))
+				o := newOracle(DynamicKD, p, seed, nil)
+				for _, m := range []int{tc.n/2 + tc.d - 1, 6*tc.n + 1} {
+					if err := matchOracle(pr, o, m); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			}
+		}
+	}
 }

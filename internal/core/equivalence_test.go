@@ -337,20 +337,26 @@ func TestSortSlotsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMakeSlotsHeights: the selection kernel makes the i-th sample of bin b
+// the slot at height load(b)+i. Ranking all five slots of a round that
+// samples bin 0 three times (loads 2, 0, 1 for bins 0, 1, 2) must return
+// them by height: bin 1 at 1, bin 2 at 2, bin 0 at 3, 4 and 5.
 func TestMakeSlotsHeights(t *testing.T) {
-	pr := MustNew(KDChoice, Params{N: 6, K: 2, D: 5}, xrand.New(1))
-	pr.setLoads([]int{2, 0, 1, 0, 0, 0})
-	copy(pr.samples, []int{0, 0, 2, 1, 0})
-	pr.makeSlots(1)
-	// Sorted samples: 0,0,0,1,2 -> slots: bin0 h3,h4,h5; bin1 h1; bin2 h2.
+	loads := []int{2, 0, 1, 0, 0, 0}
+	samples := []int{0, 0, 2, 1, 0}
+	ldv := make([]int, len(samples))
+	for i, b := range samples {
+		ldv[i] = loads[b]
+	}
 	type hs struct{ bin, height int }
-	want := []hs{{0, 3}, {0, 4}, {0, 5}, {1, 1}, {2, 2}}
-	if len(pr.slots) != len(want) {
-		t.Fatalf("got %d slots", len(pr.slots))
+	want := []hs{{1, 1}, {2, 2}, {0, 3}, {0, 4}, {0, 5}}
+	got := newSelector(len(samples)).probeAndRank(samples, ldv, 1, len(samples))
+	if len(got) != len(want) {
+		t.Fatalf("got %d slots", len(got))
 	}
 	for i, w := range want {
-		if pr.slots[i].bin != w.bin || pr.slots[i].height != w.height {
-			t.Fatalf("slot %d = {bin %d, h %d}, want %+v", i, pr.slots[i].bin, pr.slots[i].height, w)
+		if got[i].bin != w.bin || got[i].height != w.height {
+			t.Fatalf("slot %d = {bin %d, h %d}, want %+v", i, got[i].bin, got[i].height, w)
 		}
 	}
 }

@@ -57,7 +57,9 @@ func (pr *Process) stepFaulty(toPlace int) {
 // faultyRoundKD is one degraded (k,d) round: the d probes are censored
 // through the plan (down bins and loss coins), the retry budget replaces
 // lost probes, and the surviving probes are materialized as slots exactly
-// as makeSlots does — except each bin's base load is its noisy reading.
+// as the selection kernel does (the c-th probe of bin b at load(b)+c) —
+// except each bin's base load is its noisy reading, drawn once per
+// distinct bin in sorted-bin order.
 // The toPlace lowest slots receive balls; balls beyond the surviving
 // slots fall back to uniform up bins. SerializedKD degrades identically
 // (σ only permutes the placement order within a round, which the

@@ -37,8 +37,7 @@ func (pr *Process) peekNext() []int {
 // a prefix of its slots, which is exactly the rule "a bin sampled m times
 // receives at most m balls". Slot selection is delegated to the fast
 // kernel (the empty-leader walk at light load, else one Store.Gather and
-// the store-free ranking of select.go; reference sort kernel behind
-// Params.ReferenceSelect).
+// the store-free ranking of select.go).
 func (pr *Process) roundKD(toPlace int) {
 	nonce := pr.roundPrologue()
 	pr.placeSelected(pr.rankSelectWith(nonce, toPlace))

@@ -4,9 +4,9 @@ package core
 // the store in one of two ways. Mostly it gathers the loads of its
 // samples, with one Store.Gather call (one dynamic dispatch per round;
 // each store runs a plain loop over its own cells, see loadvec).
-// Everything after the gather is store-free and shared by every path,
-// serial and sharded: the selection kernel (probeAndRank in select.go) for
-// the (k,d) rounds, and argminLdv below for the d-choice, quantized
+// Everything after the gather is store-free: the selection kernel
+// (probeAndRank in select.go), shared by the serial and the sharded engine,
+// for the (k,d) rounds, and argminLdv below for the d-choice, quantized
 // d-choice and StaleBatch decisions. A light-load (k,d) round first tries
 // the empty-leader walk (select.go), which reads only the few loads that
 // can win, one Store.Load each, and gathers only when they cannot settle
@@ -27,7 +27,7 @@ package core
 // r+1's gather then finds its lines in cache. The per-ball argmin
 // (gatherArgmin) prefetches the next pre-drawn round's lines (DChoice,
 // CoarseDChoice) before its own gather, and the sharded decide phase
-// (shard.go) does the same within and across a worker's claims of rounds.
+// (shard.go) prefetches within and across a worker's claims of rounds.
 // The prefetch view (the store's cell array and cell width,
 // loadvec.CellView) is resolved once in New: arrays below prefetchMinBytes,
 // and the sketch, which has no cell per bin, get none. loadvec backs the big
@@ -79,9 +79,7 @@ func prefetchView(store loadvec.Store) (unsafe.Pointer, uint) {
 // decision of ball b against the round-start loads. At ball = 0 the
 // per-ball tie term uint64(ball)<<32 vanishes, leaving the per-(round,
 // bin) keyed hash, so a bin sampled several times holds one lottery
-// ticket; the duplicate-bin skip (cand == best) keeps that exact. It must
-// stay a pure function of its arguments: the sharded decide phase calls
-// it concurrently.
+// ticket; the duplicate-bin skip (cand == best) keeps that exact.
 //
 //kd:hotpath
 func argminLdv(samples, ldv []int, nonce uint64, ball int) int {

@@ -134,9 +134,8 @@ func (pr *Process) decide() (bin, probes int) {
 		nonce := pr.roundPrologue()
 		return pr.argminSamples(nonce), pr.p.D
 	case CoarseDChoice:
-		// The same scan over loads quantized by Quantum (limited.go), which
-		// is also what the sharded decide phase runs; at Quantum = 1 it is
-		// DChoice's exactly.
+		// The same scan over loads quantized by Quantum (limited.go); at
+		// Quantum = 1 it is DChoice's exactly.
 		nonce := pr.roundPrologue()
 		return pr.gatherArgmin(nonce, pr.quantum()), pr.p.D
 	case ThresholdChoice:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 	"unsafe"
 
 	"repro/internal/loadvec"
@@ -12,24 +11,21 @@ import (
 // round it materializes the conceptual slots (the i-th sample of bin b has
 // height load(b)+i) and returns the toPlace slots of minimum height, ranked
 // by (height, tie, bin) ascending, with ties between bins at equal height
-// broken uniformly at random.
+// broken uniformly at random. toPlace may be d: a DynamicKD round ranks all
+// of its slots and cuts the ranked prefix at its ceiling.
 //
-// Two implementations exist:
+// The kernel has one implementation with four paths. A light-load round
+// first tries the empty-leader walk, which reads only a few loads one at a
+// time (Store.Load); any other round, and any round the walk cannot settle,
+// reads every sample's load with one Store.Gather call (kernel.go) and
+// probeAndRank below ranks it. All four paths return the same ranked slice.
+// The tests check it against blockOracle, a process written on a plain
+// slice straight from the definition of a round (oracle_test.go).
 //
-//   - the fast kernel, the default: a light-load round first tries the
-//     empty-leader walk, which reads only a few loads one at a time
-//     (Store.Load); any other round, and any round the walk cannot settle,
-//     reads every sample's load with one Store.Gather call (kernel.go) and
-//     probeAndRank below ranks it. All four paths listed next return the
-//     same ranked slice.
-//   - the reference kernel (Params.ReferenceSelect): the original
-//     sort-everything path, kept as the oracle the fast kernel is tested
-//     against.
-//
-// The fast kernel's paths. The first three rank packed keys without the
-// group table: in the flat view every sample sits at load+1, as if its
-// bin were sampled once, so each sample packs into one (height, tie) key.
-// A round none of them can rank exactly falls through to the fourth.
+// The first three paths rank packed keys without the group table: in the
+// flat view every sample sits at load+1, as if its bin were sampled once,
+// so each sample packs into one (height, tie) key. A round none of them can
+// rank exactly falls through to the fourth.
 //
 //   - the empty-leader walk, for the (2,d) rounds of d >= walkMinD while
 //     at most n/4 balls are placed on an exact store (walkMaxBalls): it
@@ -66,15 +62,20 @@ import (
 //     slots at or below the boundary height. It takes the fall-through
 //     rounds and toPlace > 4 at d > flatMaxD.
 //
-// Tie keys are a keyed hash of (bin, height) under a per-round nonce. Both
-// kernels consume the random stream identically (d sample draws plus one
-// nonce draw per round) and order slots by the same total order, so for a
-// fixed seed they deliver bitwise-identical ranked slots — the property
-// TestFastSelectMatchesReference checks exhaustively. A keyed hash instead
-// of one rng.Uint64 per slot is what makes this possible: tie keys are a
-// pure function of (nonce, bin, height), so computing them lazily, for
-// every sample as the flat and streaming rankers do, or for a height the
-// sample may not have as the walk does, does not perturb the stream.
+// The streaming and flat rankers also take toPlace = d. Every sample is
+// then selected, so a repeated bin's copies are both among the ranked keys,
+// where they collide and send the round to the counting path.
+//
+// Tie keys are a keyed hash of (bin, height) under a per-round nonce. A
+// round consumes the random stream identically on every path (d sample
+// draws plus one nonce draw) and every path orders slots by the same total
+// order, so for a fixed seed they deliver bitwise-identical ranked slots —
+// the property TestFastSelectMatchesReference checks against blockOracle. A
+// keyed hash instead of one rng.Uint64 per slot is what makes this
+// possible: tie keys are a pure function of (nonce, bin, height), so
+// computing them lazily, for every sample as the flat and streaming rankers
+// do, or for a height the sample may not have as the walk does, does not
+// perturb the stream.
 //
 // Where the time goes. On the heavily loaded benchmark shape (k = 8,
 // d = 16, n = 10⁵) selection is most of a round: gather and apply hit
@@ -115,14 +116,6 @@ func (pr *Process) rankSelect(toPlace int) []slot {
 //
 //kd:hotpath
 func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
-	if pr.p.ReferenceSelect {
-		pr.makeSlots(nonce)
-		sortSlots(pr.slots)
-		if toPlace > len(pr.slots) {
-			toPlace = len(pr.slots)
-		}
-		return pr.slots[:toPlace]
-	}
 	sc := pr.selsc
 	if pr.balls > pr.walkMax {
 		sc.prefetchNext(pr.peekNext())
@@ -205,7 +198,7 @@ func newSelector(d int) *selector {
 		gtab: newGroupTab(d),
 		// The counting window covers every height pattern whose sampled
 		// loads span less than ~2d; wider spreads (extreme imbalance) fall
-		// back to the reference sort inside the counting kernel.
+		// back to a full sort inside the counting kernel.
 		hist:  make([]int32, 2*d+16),
 		slots: make([]slot, d),
 		sel:   make([]slot, 0, d),
@@ -299,7 +292,7 @@ func (pr *Process) probeAndRank(nonce uint64, toPlace int) []slot {
 //
 //kd:hotpath
 func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) []slot {
-	if toPlace > 0 && toPlace < len(samples) {
+	if toPlace > 0 && toPlace <= len(samples) {
 		if toPlace <= streamMaxPlace {
 			if sel, ok := sc.streamRank(samples, ldv, nonce, toPlace); ok {
 				return sel
@@ -454,7 +447,7 @@ const walkMinD = 32
 // Other k were not measured to pay ((4,8) measured slower: a 4-ball round
 // needs all four walkable leaders empty).
 func walkMaxBalls(p Params) int {
-	if p.Store == loadvec.StoreSketch || p.ReferenceSelect || p.K != 2 || p.D < walkMinD {
+	if p.Store == loadvec.StoreSketch || p.K != 2 || p.D < walkMinD {
 		return -1
 	}
 	return p.N / 4
@@ -674,9 +667,8 @@ func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot 
 		if maxH-minH >= len(hist) {
 			// Sparse heights (sampled loads spread wider than the counting
 			// window, only possible under extreme imbalance): fall back to
-			// the reference full sort. Same comparator and keys, so the
-			// selected set is identical to what the counting path would
-			// pick.
+			// a full sort. Same comparator and keys, so the selected set is
+			// identical to what the counting path would pick.
 			for i := range slots {
 				slots[i].tie = tieKey(nonce, slots[i].bin, slots[i].height)
 			}
@@ -815,31 +807,6 @@ func selectSmallestSlots(s []slot, k int) {
 	}
 }
 
-// makeSlots materializes the round's slots (heights and tie-break keys)
-// from the current pr.samples for the reference kernel. Sorting groups
-// duplicate samples so heights can be assigned; the sort works on a scratch
-// copy so pr.samples keeps the draw order observers are promised.
-func (pr *Process) makeSlots(nonce uint64) {
-	d := pr.p.D
-	sorted := pr.sortBuf[:d]
-	copy(sorted, pr.samples)
-	sort.Ints(sorted)
-	slots := pr.slots[:0]
-	for i := 0; i < d; {
-		b := sorted[i]
-		j := i
-		for j < d && sorted[j] == b {
-			j++
-		}
-		load := pr.store.Load(b)
-		for c := 1; c <= j-i; c++ {
-			slots = append(slots, slot{bin: b, height: load + c, tie: tieKey(nonce, b, load+c)})
-		}
-		i = j
-	}
-	pr.slots = slots
-}
-
 // sortSlots orders slots by (height, tie, bin) ascending. Hand-rolled
 // hybrid quicksort/insertion sort: zero allocations and no interface calls
 // on the hot path.
@@ -866,8 +833,8 @@ func sortSlots(s []slot) {
 
 // slotLess is the slot total order: height, then tie key, then bin id. The
 // bin fallback makes the order deterministic even under (astronomically
-// rare) tie-key collisions, which keeps the fast and reference kernels
-// bitwise-coupled.
+// rare) tie-key collisions, which keeps every ranking path, and the test
+// oracle, bitwise-coupled.
 //
 //kd:hotpath
 func slotLess(a, b slot) bool {

@@ -13,41 +13,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// roundLog records every round's receiving bins and their heights, in the
-// order the round delivered them: the rank order for KDChoice, the σ order
-// for SerializedKD.
-type roundLog struct {
-	placed, heights [][]int
-}
-
-func (rl *roundLog) RoundPlaced(round int, samples, placed, heights []int) {
-	rl.placed = append(rl.placed, append([]int(nil), placed...))
-	rl.heights = append(rl.heights, append([]int(nil), heights...))
-}
-
-// sameRun places m balls on two processes and reports the first difference
-// in what they delivered (per round, in order) or in their final loads.
-func sameRun(fast, ref *Process, m int) error {
-	fastLog, refLog := &roundLog{}, &roundLog{}
-	fast.SetObserver(fastLog)
-	ref.SetObserver(refLog)
-	fast.Place(m)
-	ref.Place(m)
-	if len(fastLog.placed) != len(refLog.placed) {
-		return fmt.Errorf("%d rounds vs %d", len(fastLog.placed), len(refLog.placed))
-	}
-	for r := range refLog.placed {
-		if !reflect.DeepEqual(fastLog.placed[r], refLog.placed[r]) || !reflect.DeepEqual(fastLog.heights[r], refLog.heights[r]) {
-			return fmt.Errorf("round %d: placed %v heights %v, reference %v heights %v",
-				r+1, fastLog.placed[r], fastLog.heights[r], refLog.placed[r], refLog.heights[r])
-		}
-	}
-	if !reflect.DeepEqual(fast.Loads(), ref.Loads()) {
-		return fmt.Errorf("final loads differ")
-	}
-	return nil
-}
-
 // reversed is a fixed σ that is not the identity (for k >= 2): the j-th ball
 // of a round goes to the slot of rank k-1-j.
 func reversed(k int) []int {
@@ -59,14 +24,15 @@ func reversed(k int) []int {
 }
 
 // TestFastSelectMatchesReference is the kernel equivalence property: for
-// random (n, k, d, seed) the counting kernel and the reference sort kernel
-// — run under the same random stream — must deliver the identical receiving
-// bins at identical heights, in the identical order, in EVERY round, and
+// random (n, k, d, seed) the selection kernel and blockOracle at Block = 1
+// — a plain-slice process that ranks each round by the definition, run
+// under the same random stream — must deliver the identical receiving bins
+// at identical heights, in the identical order, in EVERY round, and
 // therefore identical final load vectors. The order pins the ranking, not
 // just the selected set; SerializedKD under a non-identity σ delivers the
 // ranks permuted. This is exact coupling, not a distributional comparison:
-// both kernels consume the stream identically and share the keyed-hash tie
-// order. The grid spans both sides of the flat ranker's d cutoff, and n from
+// both consume the stream identically and share the keyed-hash tie order.
+// The grid spans both sides of the flat ranker's d cutoff, and n from
 // 8 (most rounds repeat a bin and fall through) to 8192 (most rounds are
 // distinct and ranked flat). The small-k half draws k <= streamMaxPlace and
 // d up to 130, across the streaming ranker's index-field widths. The light
@@ -122,18 +88,15 @@ func TestFastSelectMatchesReference(t *testing.T) {
 						p.Sigma = reversed(k)
 					}
 					fast := MustNew(policy, p, xrand.New(seed))
-					p.ReferenceSelect = true
-					ref := MustNew(policy, p, xrand.New(seed))
 					if loads != nil {
 						fast.setLoads(loads)
-						ref.setLoads(loads)
 					}
 					if loads != nil || mode == "light" && multRaw&0x40 != 0 {
 						// The walk is exact at any load, k and d; its gate
 						// only prices it.
 						fast.walkMax = math.MaxInt
 					}
-					if err := sameRun(fast, ref, m); err != nil {
+					if err := matchOracle(fast, newOracle(policy, p, seed, loads), m); err != nil {
 						t.Logf("n=%d k=%d d=%d m=%d store=%v seed=%d: %v", n, k, d, m, p.Store, seed, err)
 						return false
 					}
@@ -146,11 +109,11 @@ func TestFastSelectMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFastSelectMatchesReferenceHeavy extends the coupling to the heavily
-// loaded case (m = 64n plus a partial final round) on the dense, compact
-// and hist stores: the small-k path (k = 3) and the paper's d = 2k
-// shapes, among them the benchmark's (8,16), which the flat ranker takes
-// whenever a round's samples are distinct.
+// TestFastSelectMatchesReferenceHeavy extends the coupling with blockOracle
+// to the heavily loaded case (m = 64n plus a partial final round) on the
+// dense, compact and hist stores: the small-k path (k = 3) and the paper's
+// d = 2k shapes, among them the benchmark's (8,16), which the flat ranker
+// takes whenever a round's samples are distinct.
 func TestFastSelectMatchesReferenceHeavy(t *testing.T) {
 	const n, seed = 2048, 1234
 	for _, st := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist} {
@@ -158,28 +121,12 @@ func TestFastSelectMatchesReferenceHeavy(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/k=%d,d=%d", st, tc.k, tc.d), func(t *testing.T) {
 				p := Params{N: n, K: tc.k, D: tc.d, Store: st}
 				fast := MustNew(KDChoice, p, xrand.New(seed))
-				p.ReferenceSelect = true
-				ref := MustNew(KDChoice, p, xrand.New(seed))
-				if err := sameRun(fast, ref, 64*n+tc.k-1); err != nil {
-					t.Fatalf("fast and reference kernels diverged under heavy load: %v", err)
+				if err := matchOracle(fast, newOracle(KDChoice, p, seed, nil), 64*n+tc.k-1); err != nil {
+					t.Fatalf("the kernel diverged from the oracle under heavy load: %v", err)
 				}
 			})
 		}
 	}
-}
-
-// refRank is the reference sort over explicit samples and loads: the i-th
-// sample of bin b sits at height load(b)+i, ranked by (height, tie, bin).
-func refRank(samples, ldv []int, nonce uint64, toPlace int) []slot {
-	seen := map[int]int{}
-	var slots []slot
-	for i, b := range samples {
-		seen[b]++
-		h := ldv[i] + seen[b]
-		slots = append(slots, slot{bin: b, height: h, tie: tieKey(nonce, b, h)})
-	}
-	sort.Slice(slots, func(i, j int) bool { return slotLess(slots[i], slots[j]) })
-	return slots[:toPlace]
 }
 
 // TestFlatRankFallThrough crafts the rounds the flat ranker must refuse —
@@ -251,10 +198,10 @@ func TestFlatRankFallThrough(t *testing.T) {
 // boundary, a load spread of 64 — next to the ones it must take: a repeat
 // outside the toPlace+1 smallest keys, a spread of 63, and d at the edges of
 // the index field (64/65, 128/129) with the winner at the last index. Each
-// round must match the reference sort at the selector, and a fast process
-// and its ReferenceSelect twin must deliver it identically. A tie-prefix
-// collision cannot be crafted through tieKey, so streamExact is driven with
-// keys packed by flatKey directly.
+// round must match the reference sort at the selector, and a process must
+// deliver it as blockOracle does. A tie-prefix collision cannot be crafted
+// through tieKey, so streamExact is driven with keys packed by flatKey
+// directly.
 func TestStreamRankFallThrough(t *testing.T) {
 	const nonce = 0x243f6a8885a308d3
 	type round struct{ samples, loads []int } // loads indexed by bin
@@ -323,17 +270,9 @@ func TestStreamRankFallThrough(t *testing.T) {
 				t.Fatalf("probeAndRank %v, reference %v", got, want)
 			}
 
-			var logs [2]roundLog
-			for i, ref := range []bool{false, true} {
-				pr := MustNew(KDChoice, Params{N: len(r.loads), K: tc.toPlace, D: tc.d, ReferenceSelect: ref}, xrand.New(3))
-				pr.SetObserver(&logs[i])
-				pr.setLoads(r.loads)
-				copy(pr.samples, r.samples)
-				pr.roundKDFromSamples(tc.toPlace)
-			}
-			if !reflect.DeepEqual(logs[0], logs[1]) {
-				t.Fatalf("fast kernel delivered %v heights %v, ReferenceSelect %v heights %v",
-					logs[0].placed, logs[0].heights, logs[1].placed, logs[1].heights)
+			p := Params{N: len(r.loads), K: tc.toPlace, D: tc.d}
+			if err := matchOracleRound(MustNew(KDChoice, p, xrand.New(3)), newOracle(KDChoice, p, 3, r.loads), r.samples); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -382,8 +321,8 @@ var walkStores = []struct {
 // walked leaders — next to the ones it must refuse: a repeated bin among
 // the leaders, a copy at the key after the last one taken, and too few
 // empty leaders. Each round must match the reference sort, on every exact
-// store, at the selector and through a process against its ReferenceSelect
-// twin. A tie-prefix collision cannot be crafted through tieKey, so the
+// store, at the selector, and a process must deliver it as blockOracle
+// does. A tie-prefix collision cannot be crafted through tieKey, so the
 // walk is driven with keys directly.
 func TestLeaderWalk(t *testing.T) {
 	const d, nonce = 64, 0x243f6a8885a308d3
@@ -447,18 +386,11 @@ func TestLeaderWalk(t *testing.T) {
 					t.Fatalf("walkLeaders %v, reference %v", sel, want)
 				}
 
-				var logs [2]roundLog
-				for i, ref := range []bool{false, true} {
-					pr := MustNew(KDChoice, Params{N: len(loads), K: tc.toPlace, D: d, Store: st.kind, ReferenceSelect: ref}, xrand.New(3))
-					pr.SetObserver(&logs[i])
-					pr.setLoads(loads)
-					pr.walkMax = math.MaxInt // the escaped loads close the gate; the walk is exact at any load
-					copy(pr.samples, samples)
-					pr.roundKDFromSamples(tc.toPlace)
-				}
-				if !reflect.DeepEqual(logs[0], logs[1]) {
-					t.Fatalf("fast kernel delivered %v heights %v, ReferenceSelect %v heights %v",
-						logs[0].placed, logs[0].heights, logs[1].placed, logs[1].heights)
+				p := Params{N: len(loads), K: tc.toPlace, D: d, Store: st.kind}
+				pr := MustNew(KDChoice, p, xrand.New(3))
+				pr.walkMax = math.MaxInt // the escaped loads close the gate; the walk is exact at any load
+				if err := matchOracleRound(pr, newOracle(KDChoice, p, 3, loads), samples); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
@@ -523,11 +455,10 @@ func TestLeaderWalkEngages(t *testing.T) {
 		{Params{N: n, K: 1, D: d}, -1},
 		{Params{N: n, K: 4, D: d}, -1},
 		{Params{N: n, K: k, D: d, Store: loadvec.StoreSketch}, -1},
-		{Params{N: n, K: k, D: d, ReferenceSelect: true}, -1},
 	} {
 		if w := walkMaxBalls(tc.p); w != tc.want {
-			t.Fatalf("walkMaxBalls(n=%d, k=%d, d=%d, %v, reference %v) = %d, want %d",
-				tc.p.N, tc.p.K, tc.p.D, tc.p.Store, tc.p.ReferenceSelect, w, tc.want)
+			t.Fatalf("walkMaxBalls(n=%d, k=%d, d=%d, %v) = %d, want %d",
+				tc.p.N, tc.p.K, tc.p.D, tc.p.Store, w, tc.want)
 		}
 	}
 
@@ -643,30 +574,22 @@ func TestRankKeys(t *testing.T) {
 }
 
 // TestFastSelectSparseFallback forces the counting window to overflow
-// (sampled loads spread far wider than 2d) so the fast kernel must take its
-// internal full-sort fallback — and still match the reference kernel
-// exactly.
+// (sampled loads spread far wider than 2d) so the kernel must take its
+// internal full-sort fallback — and still match blockOracle round by
+// round.
 func TestFastSelectSparseFallback(t *testing.T) {
 	const n, k, d, seed = 32, 2, 6, 7
-	mk := func(reference bool) *Process {
-		pr := MustNew(KDChoice, Params{N: n, K: k, D: d, ReferenceSelect: reference}, xrand.New(seed))
-		// Extreme imbalance: loads 0, 1000, 2000, ... — any round sampling
-		// two different bins spans far more than the counting window.
-		loads := make([]int, n)
-		for b := range loads {
-			loads[b] = b * 1000
-		}
-		pr.setLoads(loads)
-		return pr
+	// Extreme imbalance: loads 0, 1000, 2000, ... — any round sampling
+	// two different bins spans far more than the counting window.
+	loads := make([]int, n)
+	for b := range loads {
+		loads[b] = b * 1000
 	}
-	fast, ref := mk(false), mk(true)
-	fast.Place(20 * k)
-	ref.Place(20 * k)
-	if !reflect.DeepEqual(fast.Loads(), ref.Loads()) {
-		t.Fatal("fallback path diverged from reference kernel")
-	}
-	if fast.MaxLoad() != ref.MaxLoad() {
-		t.Fatal("fallback max loads differ")
+	p := Params{N: n, K: k, D: d}
+	pr := MustNew(KDChoice, p, xrand.New(seed))
+	pr.setLoads(loads)
+	if err := matchOracle(pr, newOracle(KDChoice, p, seed, loads), 20*k); err != nil {
+		t.Fatalf("fallback path diverged from the oracle: %v", err)
 	}
 }
 
@@ -717,16 +640,20 @@ func TestBoundaryTieUniform(t *testing.T) {
 }
 
 // TestRoundAllocationFree pins the acceptance criterion that the steady-
-// state round hot path performs zero heap allocations, on both kernels.
+// state round hot path performs zero heap allocations, for the (k,d) and
+// the DynamicKD round.
 func TestRoundAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		ref  bool
-	}{{"fast", false}, {"sort", true}} {
-		pr := MustNew(KDChoice, Params{N: 4096, K: 2, D: 64, ReferenceSelect: tc.ref}, xrand.New(9))
+		policy Policy
+		p      Params
+	}{
+		{KDChoice, Params{N: 4096, K: 2, D: 64}},
+		{DynamicKD, Params{N: 4096, D: 64}},
+	} {
+		pr := MustNew(tc.policy, tc.p, xrand.New(9))
 		pr.Place(4096) // warm the scratch buffers
 		if avg := testing.AllocsPerRun(200, pr.Round); avg != 0 {
-			t.Fatalf("%s kernel: %v allocs per round, want 0", tc.name, avg)
+			t.Fatalf("%v: %v allocs per round, want 0", tc.policy, avg)
 		}
 	}
 }

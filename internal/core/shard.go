@@ -27,8 +27,9 @@ package core
 //     Each worker walks its claims round by round: it gathers the round's
 //     loads into its own cells of the positional snapshot with one
 //     Store.Gather call, then runs the policy's decision kernel (selector /
-//     argminLdv) over those cells while prefetching the next round's load
-//     lines — across claims too — so the next gather finds them in cache.
+//     the (1+β) decision) over those cells while prefetching the next
+//     round's load lines — across claims too — so the next gather finds
+//     them in cache.
 //     While few enough balls are placed, a kd round first tries the serial
 //     engine's empty-leader walk (select.go), which reads only its
 //     leaders' loads and prefetches only the next round's leaders. Nothing
@@ -40,13 +41,17 @@ package core
 //     round order, through the same store paths as the serial process.
 //
 // Consequences, pinned by the shard tests: results are bit-identical
-// across ANY shard count >= 2; SingleChoice is bit-identical to serial
-// always; the load-coupled round policies (KDChoice, fixed-σ SerializedKD,
-// DChoice, CoarseDChoice) are bit-identical to serial at Block = 1 and
-// otherwise diverge only by within-block staleness (their gap statistics
-// stay within the coupling bounds); OnePlusBeta recasts its data-dependent
-// draw pattern into a fixed two-probe prologue and matches the serial law
-// in distribution only (so Validate admits it at D <= 2 only).
+// across ANY shard count >= 2; SingleChoice is bit-identical to serial at
+// any Block while only Place draws from the stream, and at Block = 1 when
+// Inserts interleave (a refill pre-draws its whole block, so an Insert
+// draws after it); the load-coupled round policies (KDChoice, fixed-σ
+// SerializedKD) are bit-identical to serial at Block = 1 and otherwise
+// diverge only by within-block staleness (their gap statistics stay within
+// the coupling bounds); OnePlusBeta recasts its data-dependent draw pattern
+// into a fixed two-probe prologue and matches the serial law in
+// distribution only (so Validate admits it at D <= 2 only). DChoice and
+// CoarseDChoice do not shard: two workers never decided them faster than
+// the serial engine.
 
 import (
 	"sync"
@@ -65,7 +70,7 @@ import (
 // count, SAx0 rank draws, AlwaysGoLeft's group geometry) are out.
 func shardEligible(policy Policy, p Params) bool {
 	switch policy {
-	case KDChoice, DChoice, CoarseDChoice, SingleChoice, OnePlusBeta:
+	case KDChoice, SingleChoice, OnePlusBeta:
 		return true
 	case SerializedKD:
 		return !p.RandomSigma
@@ -176,14 +181,13 @@ func (p *shardPool) Close() {
 // serial one-round-at-a-time apply path (Round/Place), so the public
 // round-loop API is unchanged.
 type shardEngine struct {
-	policy  Policy
-	store   loadvec.Store // the process's store: read-only during a phase
-	n       int
-	k       int     // balls per full round (1 for the per-ball policies)
-	d       int     // draw width per round (p.D, or 1 / 2, see shardDrawWidth)
-	quantum int     // CoarseDChoice bucket width (1 = plain DChoice)
-	beta    float64 // OnePlusBeta mixing probability
-	block   int     // rounds per superstep B
+	policy Policy
+	store  loadvec.Store // the process's store: read-only during a phase
+	n      int
+	k      int     // balls per full round (1 for the per-ball policies)
+	d      int     // draw width per round (p.D, or 1 / 2, see shardDrawWidth)
+	beta   float64 // OnePlusBeta mixing probability
+	block  int     // rounds per superstep B
 
 	// The prefetch view of the store (prefetchView; nil pfBase: off).
 	pfBase unsafe.Pointer
@@ -255,16 +259,6 @@ func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int, store
 		case OnePlusBeta:
 			se.dests = make([]int, se.block)
 			se.probes = make([]uint8, se.block)
-		default: // DChoice, CoarseDChoice
-			se.dests = make([]int, se.block)
-		}
-		if policy == CoarseDChoice {
-			se.quantum = p.Quantum
-			if se.quantum == 0 {
-				se.quantum = defaultQuantum
-			}
-		} else {
-			se.quantum = 1
 		}
 	}
 	se.pfBase, se.pfBits = prefetchView(store)
@@ -311,8 +305,6 @@ func (se *shardEngine) step(pr *Process, toPlace int) {
 		se.applySingle(pr, r)
 	case OnePlusBeta:
 		se.applyOnePlusBeta(pr, r)
-	default: // DChoice, CoarseDChoice
-		se.applyArgmin(pr, r)
 	}
 }
 
@@ -401,14 +393,7 @@ func (se *shardEngine) decideClaims(w int) {
 		if base != nil && next < end {
 			prefetchIdx(base, se.blk.samples[next*d:(next+1)*d], bits)
 		}
-		if se.policy == OnePlusBeta {
-			se.decideOnePlusBeta(r, samples, ldv, nonce)
-		} else { // DChoice, CoarseDChoice
-			if se.quantum > 1 {
-				quantize(ldv, se.quantum)
-			}
-			se.dests[r] = argminLdv(samples, ldv, nonce, 0)
-		}
+		se.decideOnePlusBeta(r, samples, ldv, nonce)
 		r = next
 	}
 }
@@ -522,23 +507,15 @@ func (se *shardEngine) applySerialized(pr *Process, r, toPlace int) {
 
 // applySingle commits one SingleChoice ball. The destination is the
 // pre-drawn sample itself, so sharded SingleChoice is bit-identical to
-// serial for any P and any Block.
+// serial for any P and any Block while only Place draws from the stream;
+// an Insert between Place calls draws after the pre-drawn block, which
+// matches serial only at Block = 1.
 func (se *shardEngine) applySingle(pr *Process, r int) {
 	b := se.single[r]
 	h := pr.place(b)
 	pr.messages++
 	if pr.obs != nil {
 		pr.notify(se.single[r:r+1], se.single[r:r+1], []int{h})
-	}
-}
-
-// applyArgmin commits one DChoice / CoarseDChoice ball.
-func (se *shardEngine) applyArgmin(pr *Process, r int) {
-	best := se.dests[r]
-	h := pr.place(best)
-	pr.messages += int64(se.d)
-	if pr.obs != nil {
-		pr.notify(se.roundSamples(r), []int{best}, []int{h})
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,8 +50,6 @@ var shardExactCases = []struct {
 }{
 	{"kd", KDChoice, Params{N: 96, K: 4, D: 12}},
 	{"kd-serialized", SerializedKD, Params{N: 96, K: 3, D: 8, Sigma: []int{2, 0, 1}}},
-	{"dchoice", DChoice, Params{N: 96, D: 3}},
-	{"dchoice-coarse", CoarseDChoice, Params{N: 96, D: 4, Quantum: 2}},
 	{"single", SingleChoice, Params{N: 96}},
 }
 
@@ -119,8 +117,12 @@ func TestShardedReportIndependentOfShardCount(t *testing.T) {
 	}
 }
 
-// TestShardedSingleMatchesSerialAnyBlock: SingleChoice destinations never
-// read loads, so sharding is exact at EVERY block size, not just 1.
+// TestShardedSingleMatchesSerialAnyBlock pins both halves of sharded
+// SingleChoice's contract. Its destinations never read loads, so a stream
+// of Place calls alone is exact at EVERY block size, not just 1. A refill
+// pre-draws its whole block, so an Insert between Place calls draws after
+// that block: interleaved Place and Insert calls match serial at Block = 1,
+// where a refill draws only the ball it places.
 func TestShardedSingleMatchesSerialAnyBlock(t *testing.T) {
 	const seed, m = 5150, 1234
 	for _, block := range []int{0, 1, 13, 256} {
@@ -131,6 +133,30 @@ func TestShardedSingleMatchesSerialAnyBlock(t *testing.T) {
 		stateEqual(t, fmt.Sprintf("single/block=%d", block), ref, got)
 		got.Close()
 	}
+	// The bins the interleaved Inserts went to, in order.
+	inserted := func(pr *Process) []int {
+		var bins []int
+		for i := 0; i < 20; i++ {
+			pr.Place(3)
+			ball, err := pr.Insert()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin, err := pr.BallBin(ball)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bins = append(bins, bin)
+		}
+		return bins
+	}
+	ref := MustNew(SingleChoice, Params{N: 64}, xrand.New(7))
+	got := MustNew(SingleChoice, Params{N: 64, Shards: 4, Block: 1}, xrand.New(7))
+	if want, bins := inserted(ref), inserted(got); !slices.Equal(bins, want) {
+		t.Fatalf("single/block=1/insert: inserted balls went to bins %v, serial %v", bins, want)
+	}
+	stateEqual(t, "single/block=1/insert", ref, got)
+	got.Close()
 }
 
 // TestShardedPlaceAfterClose: Close stops the worker pool but leaves the
@@ -261,7 +287,9 @@ func TestShardedResetInvalidatesDecisions(t *testing.T) {
 // against blockOracle, a plain-slice process written from the definitions
 // rather than from any engine path, so a window bug shared by every shard
 // count cannot hide behind the P-vs-P sweeps. The mid-block Reset makes the
-// engine re-decide a window that starts past round 0 of its block.
+// engine re-decide a window that starts past round 0 of its block. The
+// d-choice case checks the serial engine at Block = 1, d-choice's only
+// engine: its per-ball argmin is the oracle's too.
 func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
 	const seed = 2718
 	type oracleCase struct {
@@ -282,108 +310,31 @@ func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
 			oracleCase{fmt.Sprintf("kd-light/%v/k=4,d=130", st.kind), KDChoice, Params{N: 12000, K: 4, D: 130, Store: st.kind}, true})
 	}
 	for _, tc := range cases {
-		for _, block := range []int{7, 64} {
+		blocks, shards := []int{7, 64}, 2
+		if tc.policy == DChoice {
+			blocks, shards = []int{1}, 0
+		}
+		for _, block := range blocks {
 			p := tc.p
-			p.Shards = 2
+			p.Shards = shards
 			p.Block = block
 			got := MustNew(tc.policy, p, xrand.New(seed))
 			if tc.walk {
 				got.shard.walkMax = math.MaxInt
 			}
-			o := &blockOracle{policy: tc.policy, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
+			o := newOracle(tc.policy, p, seed, nil)
 			for leg, m := range []int{100, 250} {
-				if leg > 0 { // 34 (kd) / 100 (dchoice) rounds in: mid-block
+				if leg > 0 { // 34 (kd) rounds in: mid-block; 100 serial d-choice rounds
 					got.Reset()
 					o.reset()
 				}
-				got.Place(m)
-				o.place(m)
-				loads := got.Loads()
-				for b, want := range o.loads {
-					if loads[b] != want {
-						t.Fatalf("%s/block=%d/leg=%d: bin %d load %d, oracle %d", tc.name, block, leg, b, loads[b], want)
-					}
+				if err := matchOracle(got, o, m); err != nil {
+					t.Fatalf("%s/block=%d/leg=%d: %v", tc.name, block, leg, err)
 				}
 			}
 			got.Close()
 		}
 	}
-}
-
-// blockOracle decides every round against snap, the loads as of the round's
-// block start (for StaleBatch, of the round start), then applies the round.
-// It draws the serial per-round prologue from its own stream: d samples then
-// the nonce (StaleBatch: the nonce, then each ball's samples, one ball at a
-// time).
-type blockOracle struct {
-	policy      Policy
-	p           Params
-	rng         *xrand.Rand
-	loads, snap []int
-	round       int // rounds drawn so far; Reset does not rewind it
-}
-
-func (o *blockOracle) reset() {
-	clear(o.loads)
-	clear(o.snap) // the rest of the block is re-decided against empty bins
-}
-
-func (o *blockOracle) place(m int) {
-	size := 1
-	if o.policy != DChoice {
-		size = o.p.K
-	}
-	for ; m > 0; m -= size {
-		o.roundOf(min(size, m))
-	}
-}
-
-func (o *blockOracle) roundOf(toPlace int) {
-	if o.policy == StaleBatch || o.round%o.p.Block == 0 {
-		copy(o.snap, o.loads)
-	}
-	o.round++
-	samples := make([]int, o.p.D)
-	if o.policy == StaleBatch {
-		nonce := o.rng.Uint64()
-		for b := 0; b < toPlace; b++ {
-			o.rng.FillIntn(samples, o.p.N)
-			o.loads[o.argmin(samples, nonce, b)]++ // decided on snap: order-free
-		}
-		return
-	}
-	o.rng.FillIntn(samples, o.p.N)
-	nonce := o.rng.Uint64()
-	if o.policy == DChoice {
-		o.loads[o.argmin(samples, nonce, 0)]++
-		return
-	}
-	// (k,d)-choice: the c-th sample of bin b is the slot (b, snap[b]+c); the
-	// toPlace least slots under (height, tieKey, bin) each receive a ball.
-	var slots []slot
-	seen := map[int]int{}
-	for _, b := range samples {
-		seen[b]++
-		h := o.snap[b] + seen[b]
-		slots = append(slots, slot{bin: b, height: h, tie: tieKey(nonce, b, h)})
-	}
-	sort.Slice(slots, func(i, j int) bool { return slotLess(slots[i], slots[j]) })
-	for _, s := range slots[:toPlace] {
-		o.loads[s.bin]++
-	}
-}
-
-// argmin is the least snapshot-loaded sample, ties between distinct bins
-// broken by the ball-keyed hash of the bin (ball = 0 for d-choice).
-func (o *blockOracle) argmin(samples []int, nonce uint64, ball int) int {
-	key := func(b int) uint64 { return mix64(nonce ^ uint64(ball)<<32 ^ uint64(b)*0x9e3779b97f4a7c15) }
-	best := samples[0]
-	for _, b := range samples[1:] {
-		if o.snap[b] < o.snap[best] || (o.snap[b] == o.snap[best] && key(b) < key(best)) {
-			best = b
-		}
-	}
-	return best
 }
 
 // meanGapOver runs r independent seeds of (policy, params) to m balls and
@@ -400,7 +351,7 @@ func meanGapOver(t *testing.T, policy Policy, p Params, m, runs int) float64 {
 	return sum / float64(runs)
 }
 
-// TestShardedStalenessDivergenceBounded: sharded kd and dchoice see
+// TestShardedStalenessDivergenceBounded: sharded kd sees
 // within-block-stale loads, so per-seed divergence from serial is expected
 // — but the staleness horizon is the BLOCK, so with blocks small relative
 // to the run the allocation LAW barely moves: the mean gap over many seeds
@@ -419,12 +370,11 @@ func TestShardedStalenessDivergenceBounded(t *testing.T) {
 		p      Params
 		m      int
 	}{
-		// Block = 4 rounds: 8 (kd) / 4 (dchoice) balls of staleness per
-		// block against 256 bins — a few hundredths of a load unit of
-		// drift per horizon (measured kd frontier: 1.00 serial, 1.15 at
-		// Block=4, 1.90 at Block=16, 3.75 at Block=64).
+		// Block = 4 rounds: 8 balls of staleness per block against 256
+		// bins — a few hundredths of a load unit of drift per horizon
+		// (measured kd frontier: 1.00 serial, 1.15 at Block=4, 1.90 at
+		// Block=16, 3.75 at Block=64).
 		{"kd", KDChoice, Params{N: 256, K: 2, D: 8, Block: 4}, 4 * 256},
-		{"dchoice", DChoice, Params{N: 256, D: 2, Block: 4}, 4 * 256},
 	} {
 		serial := meanGapOver(t, tc.policy, withBlockCleared(tc.p), tc.m, runs)
 		p := tc.p
@@ -493,14 +443,11 @@ func TestShardedAllocationFree(t *testing.T) {
 		{"kd-serialized/shards=4", SerializedKD, Params{N: 4096, K: 3, D: 8, Shards: 4}},
 		{"kd/shards=2/k=8,d=16", KDChoice, Params{N: 4096, K: 8, D: 16, Shards: 2}},
 		{"kd-serialized/shards=4/k=8,d=16", SerializedKD, Params{N: 4096, K: 8, D: 16, Shards: 4, Sigma: reversed(8)}},
-		{"dchoice/shards=4", DChoice, Params{N: 4096, D: 3, Shards: 4}},
-		{"dchoice-coarse/shards=4", CoarseDChoice, Params{N: 4096, D: 4, Shards: 4}},
 		{"single/shards=4", SingleChoice, Params{N: 4096, Shards: 4}},
 		{"oneplusbeta/shards=4", OnePlusBeta, Params{N: 4096, Beta: 0.5, Shards: 4}},
 		// More workers than rounds per block: the trailing workers claim
 		// nothing.
 		{"kd/shards=8/block=3", KDChoice, Params{N: 4096, K: 2, D: 64, Shards: 8, Block: 3}},
-		{"dchoice/shards=8/block=3/sketch", DChoice, Params{N: 4096, D: 3, Shards: 8, Block: 3, Store: loadvec.StoreSketch}},
 		// Bin arrays past loadvec's huge-page threshold (4 MB), through the
 		// prefetching decide phase.
 		{"kd/shards=2/compact/huge", KDChoice, Params{N: 1 << 22, K: 2, D: 64, Shards: 2, Store: loadvec.StoreCompact}},
@@ -578,16 +525,10 @@ func TestShardedDrawAheadMatchesOnePlace(t *testing.T) {
 				p := tc.p
 				p.Shards = shards
 				p.Block = block
-				oracle := func() *blockOracle {
-					return &blockOracle{policy: tc.policy, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
-				}
 				matchOracle := func(stage string, pr *Process, o *blockOracle) {
 					t.Helper()
-					loads := pr.Loads()
-					for b, want := range o.loads {
-						if loads[b] != want {
-							t.Fatalf("%s/%s: bin %d load %d, oracle %d", name, stage, b, loads[b], want)
-						}
+					if err := o.sameLoads(pr); err != nil {
+						t.Fatalf("%s/%s: %v", name, stage, err)
 					}
 				}
 
@@ -604,7 +545,7 @@ func TestShardedDrawAheadMatchesOnePlace(t *testing.T) {
 					left -= c
 				}
 				stateEqual(t, name+"/split", one, split)
-				o := oracle()
+				o := newOracle(tc.policy, p, seed, nil)
 				o.place(m)
 				matchOracle("split", split, o)
 				split.Close()
@@ -627,7 +568,7 @@ func TestShardedDrawAheadMatchesOnePlace(t *testing.T) {
 					twin.Place(min(5*k, left))
 				}
 				stateEqual(t, name+"/reset", reset, twin)
-				o = oracle()
+				o = newOracle(tc.policy, p, seed, nil)
 				o.place(before)
 				o.reset()
 				o.place(m)
@@ -662,7 +603,6 @@ func TestShardedPerBallServeKeepsStream(t *testing.T) {
 		p      Params
 		want   uint64
 	}{
-		{"dchoice", DChoice, Params{N: 96, D: 3, Shards: 2, Block: 7}, 0xdf704eb8a2418d5a},
 		{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.7, Shards: 3, Block: 7}, 0xe966ca5a7f4cb470},
 	} {
 		pr := MustNew(tc.policy, tc.p, xrand.New(4242))

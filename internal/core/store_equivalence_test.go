@@ -160,7 +160,7 @@ func TestStaleBatchShardedMatchesSerial(t *testing.T) {
 	for _, store := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble} {
 		p := Params{N: 96, K: k, D: 3, Store: store}
 		got := MustNew(StaleBatch, p, xrand.New(seed))
-		o := &blockOracle{policy: StaleBatch, p: p, rng: xrand.New(seed), loads: make([]int, p.N), snap: make([]int, p.N)}
+		o := newOracle(StaleBatch, p, seed, nil)
 		for leg := 0; leg < 2; leg++ {
 			if leg > 0 {
 				got.Reset()
@@ -228,8 +228,9 @@ func TestBlockEngineObserverSeesSamples(t *testing.T) {
 	}
 }
 
-// TestShardsValidation: the fixed-prologue policies may shard; StaleBatch
-// and the data-dependent ones must reject Shards > 1.
+// TestShardsValidation: kd, fixed-σ kd-serialized, single and oneplusbeta
+// may shard; StaleBatch, the d-choice pair and the data-dependent policies
+// must reject Shards > 1.
 func TestShardsValidation(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
@@ -237,8 +238,7 @@ func TestShardsValidation(t *testing.T) {
 	}{
 		{KDChoice, Params{N: 8, K: 1, D: 2, Shards: 2}},
 		{SerializedKD, Params{N: 8, K: 1, D: 2, Shards: 2}},
-		{DChoice, Params{N: 8, D: 2, Shards: 3}},
-		{CoarseDChoice, Params{N: 8, D: 2, Shards: 3}},
+		{DChoice, Params{N: 8, D: 2, Shards: 1}},
 		{SingleChoice, Params{N: 8, Shards: 8}},
 		{OnePlusBeta, Params{N: 8, Beta: 0.5, Shards: 2}},
 		{OnePlusBeta, Params{N: 8, Beta: 0.5, D: 2, Shards: 2}},
@@ -265,13 +265,23 @@ func TestShardsValidation(t *testing.T) {
 			t.Fatalf("%v accepted Shards = %d", tc.policy, tc.p.Shards)
 		}
 	}
-	// StaleBatch's serial round already gathers the whole round at once:
-	// an explicit shard count is an error naming both fields, not a
-	// silent serial run.
-	if err := Validate(StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 4}); err == nil {
-		t.Fatal("sharded stale-batch accepted")
-	} else if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, "stale-batch") {
-		t.Fatalf("sharded stale-batch error does not name Shards and stale-batch: %v", err)
+	// StaleBatch's serial round already gathers the whole round at once,
+	// and two workers never ran d-choice faster than serial: an explicit
+	// shard count is an error naming Shards and the policy, not a silent
+	// serial run.
+	for _, tc := range []struct {
+		policy Policy
+		p      Params
+	}{
+		{StaleBatch, Params{N: 8, K: 2, D: 2, Shards: 4}},
+		{DChoice, Params{N: 8, D: 2, Shards: 3}},
+		{CoarseDChoice, Params{N: 8, D: 2, Shards: 2}},
+	} {
+		if err := Validate(tc.policy, tc.p); err == nil {
+			t.Fatalf("sharded %v accepted", tc.policy)
+		} else if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, tc.policy.String()) {
+			t.Fatalf("sharded %v error does not name Shards and the policy: %v", tc.policy, err)
+		}
 	}
 	if err := Validate(StaleBatch, Params{N: 8, K: 2, D: 2, Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
@@ -308,7 +318,8 @@ func TestSAx0LoadCountConsistentAcrossStores(t *testing.T) {
 // the compact and histogram stores and to the one-gather StaleBatch round
 // (k·D samples drawn, gathered and decided in the process's own buffers)
 // on the dense and nibble stores, at k = 3, and on a compact array past
-// loadvec's huge-page threshold.
+// loadvec's huge-page threshold, and to the serial d-choice round (the
+// only d-choice engine) on the dense store and, quantized, on the sketch.
 func TestRoundAllocationFreeEngines(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -321,6 +332,8 @@ func TestRoundAllocationFreeEngines(t *testing.T) {
 		{"stale-batch/k=32,d=3/nibble", StaleBatch, Params{N: 4096, K: 32, D: 3, Store: loadvec.StoreNibble}},
 		{"stale-batch/k=3", StaleBatch, Params{N: 4096, K: 3, D: 3}},
 		{"stale-batch/k=32,d=3/compact/huge", StaleBatch, Params{N: 1 << 22, K: 32, D: 3, Store: loadvec.StoreCompact}},
+		{"dchoice", DChoice, Params{N: 4096, D: 3}},
+		{"dchoice-coarse/sketch", CoarseDChoice, Params{N: 4096, D: 4, Store: loadvec.StoreSketch}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -402,9 +415,9 @@ func noPrefetch(pr *Process) {
 
 // TestPrefetchChangesNoResult: on load arrays of at least prefetchMinBytes
 // the engine prefetches the next round's load lines during the selection,
-// serial and sharded. The results must stay bit-identical to the same
-// process with its prefetch view cleared. D = 13 leaves a partial 8-sample
-// prefetch group; Block 3 puts a block boundary (no next round to
+// serial and sharded (kd only). The results must stay bit-identical to the
+// same process with its prefetch view cleared. D = 13 leaves a partial
+// 8-sample prefetch group; Block 3 puts a block boundary (no next round to
 // prefetch) every third round.
 func TestPrefetchChangesNoResult(t *testing.T) {
 	const seed, m = 4242, 3001
@@ -417,11 +430,14 @@ func TestPrefetchChangesNoResult(t *testing.T) {
 		{loadvec.StoreHist, prefetchMinBytes / 4},
 		{loadvec.StoreNibble, 2 * prefetchMinBytes},
 	} {
-		for _, policy := range []Policy{KDChoice, DChoice} {
+		for _, policy := range []Policy{KDChoice, DChoice, DynamicKD} {
 			for _, shards := range []int{0, 2} {
+				if shards > 0 && policy != KDChoice {
+					continue
+				}
 				for _, block := range []int{0, 3} {
 					p := Params{N: st.n, K: 3, D: 13, Store: st.kind, Shards: shards, Block: block}
-					if policy == DChoice {
+					if policy != KDChoice {
 						p.K = 0
 					}
 					stage := fmt.Sprintf("%v/%v/shards=%d/block=%d", st.kind, policy, shards, block)

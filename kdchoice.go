@@ -321,14 +321,6 @@ type Config struct {
 	Sigma []int
 	// RandomSigma draws a fresh random σ every round (Serialized).
 	RandomSigma bool
-	// ReferenceSelect runs the round-based policies on the reference
-	// sort-based slot-selection kernel instead of the default O(d + k log k)
-	// counting kernel. Both induce the same allocation law and, for a fixed
-	// Seed, the same results; the option exists for verification and
-	// benchmarking against the reference implementation. The sharded
-	// engine has no reference kernel, so New rejects ReferenceSelect with
-	// Shards > 1 on kd and kd-serialized.
-	ReferenceSelect bool
 	// Store selects the bin-load representation (StoreDense, StoreCompact,
 	// StoreHist). The zero value is the dense reference; all stores are
 	// bit-identical in outcome for equal seeds.
@@ -369,15 +361,18 @@ type Config struct {
 	// so the stream never depends on the worker count; kd and fixed-σ
 	// kd-serialized draw the next block on one worker while the others
 	// decide. Results are bit-identical across ANY shard count >= 2.
-	// Relative to serial: SingleChoice is bit-identical always; KDChoice,
-	// fixed-σ Serialized, DChoice, and CoarseDChoice are bit-identical at
-	// Block = 1 and otherwise see each round's loads as of its block
-	// start (the staleness horizon is exactly Block rounds); OnePlusBeta
-	// matches the serial law in distribution only, and shards at D <= 2
-	// only (its sharded prologue probes two bins). StaleBatch, whose
-	// serial round already gathers all of a round's probes in one pass,
-	// and the policies with data-dependent draw patterns reject
-	// Shards > 1.
+	// Relative to serial: SingleChoice is bit-identical at any Block for
+	// streams of Place calls alone, and at Block = 1 when Inserts
+	// interleave (a sharded refill pre-draws its whole block, so an Insert
+	// draws after that block in the stream); KDChoice and fixed-σ
+	// Serialized are bit-identical at Block = 1 and otherwise see each
+	// round's loads as of its block start (the staleness horizon is
+	// exactly Block rounds); OnePlusBeta matches the serial law in
+	// distribution only, and shards at D <= 2 only (its sharded prologue
+	// probes two bins). StaleBatch, whose serial round already gathers all
+	// of a round's probes in one pass, DChoice and CoarseDChoice, which
+	// two workers never ran faster than serial, and the policies with
+	// data-dependent draw patterns reject Shards > 1.
 	//
 	// 0 (the default) and 1 run the serial engine for every policy, so the
 	// engine never depends on the host; sharding is an explicit opt-in.
@@ -421,22 +416,21 @@ func (cfg Config) coreConfig() (core.Policy, core.Params, error) {
 		return 0, core.Params{}, fmt.Errorf("kdchoice: D = %d, must be non-negative", cfg.D)
 	}
 	return cp, core.Params{
-		N:               cfg.Bins,
-		K:               cfg.K,
-		D:               cfg.D,
-		Beta:            cfg.Beta,
-		Sigma:           cfg.Sigma,
-		RandomSigma:     cfg.RandomSigma,
-		ReferenceSelect: cfg.ReferenceSelect,
-		Store:           cfg.Store.toKind(),
-		VecDims:         cfg.VecDims,
-		VecNorm:         cfg.VecNorm.toLoadvec(),
-		Block:           cfg.Block,
-		Shards:          cfg.Shards,
-		Quantum:         cfg.Quantum,
-		SketchWidth:     cfg.SketchWidth,
-		SketchDepth:     cfg.SketchDepth,
-		Faults:          cfg.Faults,
+		N:           cfg.Bins,
+		K:           cfg.K,
+		D:           cfg.D,
+		Beta:        cfg.Beta,
+		Sigma:       cfg.Sigma,
+		RandomSigma: cfg.RandomSigma,
+		Store:       cfg.Store.toKind(),
+		VecDims:     cfg.VecDims,
+		VecNorm:     cfg.VecNorm.toLoadvec(),
+		Block:       cfg.Block,
+		Shards:      cfg.Shards,
+		Quantum:     cfg.Quantum,
+		SketchWidth: cfg.SketchWidth,
+		SketchDepth: cfg.SketchDepth,
+		Faults:      cfg.Faults,
 	}, nil
 }
 

@@ -390,42 +390,3 @@ func TestSimulateZeroPolicyMatchesExplicit(t *testing.T) {
 		t.Fatalf("zero policy %v != explicit KDChoice %v", a.MaxLoads, b.MaxLoads)
 	}
 }
-
-// TestReferenceSelectPublicCoupling: through the public API, the counting
-// kernel and the reference sort kernel must produce identical results for
-// the same seed (the select.go coupling, end to end).
-func TestReferenceSelectPublicCoupling(t *testing.T) {
-	fast, err := New(Config{Bins: 512, K: 4, D: 9, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(Config{Bins: 512, K: 4, D: 9, Seed: 21, ReferenceSelect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast.PlaceAll()
-	ref.PlaceAll()
-	if !reflect.DeepEqual(fast.Loads(), ref.Loads()) {
-		t.Fatal("public-API kernels diverged for equal seeds")
-	}
-	if fast.MaxLoad() != ref.MaxLoad() || fast.Messages() != ref.Messages() {
-		t.Fatal("public-API kernel summaries diverged")
-	}
-}
-
-// TestReferenceSelectRejectsShards: the sharded engine ranks with the
-// counting kernel only, so ReferenceSelect with Shards > 1 must fail at
-// New, naming both knobs, instead of silently running the fast kernel.
-func TestReferenceSelectRejectsShards(t *testing.T) {
-	for _, p := range []Policy{KDChoice, Serialized} {
-		_, err := New(Config{Bins: 512, K: 2, D: 8, Seed: 1, Policy: p, ReferenceSelect: true, Shards: 2})
-		if err == nil || !strings.Contains(err.Error(), "ReferenceSelect") || !strings.Contains(err.Error(), "Shards") {
-			t.Fatalf("%v: ReferenceSelect with Shards = 2: err = %v, want a rejection naming both knobs", p, err)
-		}
-		a, err := New(Config{Bins: 512, K: 2, D: 8, Seed: 1, Policy: p, ReferenceSelect: true, Shards: 1})
-		if err != nil {
-			t.Fatalf("%v: ReferenceSelect with Shards = 1 rejected: %v", p, err)
-		}
-		a.Close()
-	}
-}
