@@ -102,3 +102,33 @@ func BenchmarkRoundHeavy(b *testing.B) {
 		})
 	}
 }
+
+// leaderSink keeps BenchmarkLeaderKeys' results live.
+var leaderSink [streamMaxPlace + 1]uint64
+
+// BenchmarkLeaderKeys times the empty-leader walk's key pass, leaderKeys,
+// one round of d samples per op (uniform bins of n = 10⁸, a fresh nonce
+// per round), on the Go network and, on hosts with AVX-512, the leader
+// kernel.
+func BenchmarkLeaderKeys(b *testing.B) {
+	const n, rounds = 100_000_000, 256
+	for _, path := range leaderPaths {
+		for _, d := range []int{16, 32, 64} {
+			b.Run(fmt.Sprintf("%s/d=%d", path.name, d), func(b *testing.B) {
+				useLeaderPath(b, path.kernel)
+				rng := xrand.New(1)
+				samples := make([]int, rounds*d)
+				for i := range samples {
+					samples[i] = rng.Intn(n)
+				}
+				idx := newSelector(d).idxMask
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r := i % rounds
+					leaderSink = leaderKeys(samples[r*d:(r+1)*d], uint64(i)*0x9e3779b97f4a7c15, idx)
+				}
+			})
+		}
+	}
+}

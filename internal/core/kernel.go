@@ -40,12 +40,14 @@ package core
 // winners are among its five leaders, whose keys need no load, so the
 // lane computes the next round's leaders one round ahead (its nonce from
 // roundEngine.peekNonce) and prefetches only the four a walk can read.
-// Profiled with Place of 14M balls into 10⁸ empty compact bins (2-vCPU
-// Xeon VM, Go 1.24), the round took 379 ns/ball against 770 before: the
-// leader keys 57% (the register network 30%, the tie-key mixer 14%),
-// FillRounds 27%, prefetchIdx 5% and the walk's own loads 2%; the gather
-// is gone. Nothing here reads the store early or changes a result: a
-// prefetch writes no memory.
+// The leader keys then took 57% of a round (the register network 31%,
+// the tie-key mixer 18%), so on AVX-512 hosts an assembly kernel keys
+// eight samples at a time (leaderKeys). Profiled with Place of 14M balls
+// into 10⁸ empty compact bins (2-vCPU Xeon VM with AVX-512, Go 1.24), the
+// round took 189 ns/ball against 377 on the Go network: FillRounds 37%,
+// the leader kernel 35%, prefetchIdx 8% and the walk's own loads under
+// 5%; the gather is gone. Nothing here reads the store early or changes a
+// result: a prefetch writes no memory.
 
 import (
 	"unsafe"

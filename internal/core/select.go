@@ -30,8 +30,10 @@ import (
 //   - the empty-leader walk, for the (2,d) rounds of d >= walkMinD while
 //     at most n/4 balls are placed on an exact store (walkMaxBalls): it
 //     keys every sample as if its bin were empty, with no load read, and
-//     keeps the five smallest keys, the leaders, with the streaming
-//     ranker's register network. No slot sits below height 1, and the
+//     keeps the five smallest keys, the leaders (leaderKeys): eight
+//     samples per instruction in an assembly kernel on amd64 hosts with
+//     AVX-512F and AVX-512DQ (leaders_amd64.s), else with the streaming
+//     ranker's register network in Go. No slot sits below height 1, and the
 //     height-1 slots are exactly the first copies of the empty sampled
 //     bins, tied by the leader keys' ties. So the first toPlace empty,
 //     distinct leaders in key order are the round's top slots: the walk
@@ -441,11 +443,21 @@ const walkMinD = 32
 // faster in 18 and 19 of 20 pairs at (2,32) and 20 of 20 at (2,64), and
 // over balls n/5 to n/4 alone (4·10⁶ bins) in 18 and 20 of 20; at (2,16)
 // in 17 and 18 of 20, in one of the two batches with the gain inside the
-// gather's own spread, and at (2,8) in 14 of 20, so shorter rounds gather. Each leader is a uniform
-// bin, empty with probability at least 3/4 below n/4 balls: the walk
-// settled 98.7% of the rounds up to n/4 and 96.3% of those past n/5.
-// Other k were not measured to pay ((4,8) measured slower: a 4-ball round
-// needs all four walkable leaders empty).
+// gather's own spread, and at (2,8) in 14 of 20. (2,16) was re-timed with
+// the AVX-512 leader kernel (leaderKeys) in three batches of 20 pairs per
+// leader path. The walk's median was lower in every batch, but at 10⁶
+// bins, where a Place takes about 30 ms, it did not win reliably:
+//
+//   - kernel, 10⁶ bins: faster 15, 16 and 20 of 20 (medians 114–117 vs
+//     127–164 ns/ball); 10⁷ bins: 20, 20 and 19 of 20 (121–136 vs 177–187);
+//   - Go network, 10⁶ bins: 11, 13 and 18 of 20 (109–148 vs 111–161);
+//     10⁷ bins: 20, 20 and 18 of 20 (95–150 vs 119–212).
+//
+// So rounds below d = 32 gather. Each leader is a uniform bin, empty with
+// probability at least 3/4 below n/4 balls: the walk settled 98.7% of the
+// (2,64) rounds up to n/4 and 96.3% of those past n/5. Other k were not
+// measured to pay ((4,8) measured slower: a 4-ball round needs all four
+// walkable leaders empty).
 func walkMaxBalls(p Params) int {
 	if p.Store == loadvec.StoreSketch || p.K != 2 || p.D < walkMinD {
 		return -1
@@ -453,15 +465,33 @@ func walkMaxBalls(p Params) int {
 	return p.N / 4
 }
 
+// leaderChunk is the number of samples the leader kernel keys at once.
+const leaderChunk = 8
+
+// leaderKernelOn selects leaderKeys' path: the AVX-512 kernel where the
+// CPU and OS support it (haveLeaderKernel), else the Go network. Both
+// return the same keys; tests flip it to run each.
+var leaderKernelOn = haveLeaderKernel
+
 // leaderKeys returns the five smallest empty-view keys of a round: every
 // sample keyed as if its bin were empty, tieKey(nonce, b, 1) packed as
 // streamRank packs a sample at the round's lowest load, so no load is read.
+// On amd64 with AVX-512F and AVX-512DQ (leaderKernelOn) the assembly
+// kernel keys the whole chunks of eight samples; the Go network, keepLeast
+// over each key in turn, inserts the rest: the d mod 8 tail there, every
+// sample on other hosts and ports.
 //
 //kd:hotpath
 func leaderKeys(samples []int, nonce, idx uint64) [streamMaxPlace + 1]uint64 {
-	t0, t1, t2, t3, t4 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-	for i, b := range samples {
-		t0, t1, t2, t3, t4 = keepLeast(t0, t1, t2, t3, t4, flatKey(0, tieKey(nonce, b, 1))&^idx|uint64(i))
+	top := [streamMaxPlace + 1]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	i := 0
+	if leaderKernelOn && len(samples) >= leaderChunk {
+		i = len(samples) &^ (leaderChunk - 1)
+		leaderKernel(&top, samples[:i], nonce, idx)
+	}
+	t0, t1, t2, t3, t4 := top[0], top[1], top[2], top[3], top[4]
+	for ; i < len(samples); i++ {
+		t0, t1, t2, t3, t4 = keepLeast(t0, t1, t2, t3, t4, flatKey(0, tieKey(nonce, samples[i], 1))&^idx|uint64(i))
 	}
 	return [streamMaxPlace + 1]uint64{t0, t1, t2, t3, t4}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
@@ -41,7 +42,9 @@ func reversed(k int) []int {
 // its runs a sixteenth of the bins starts at a load past the compact and
 // nibble cell range; in those and in a quarter more the walk is forced on
 // at any load, k and d, and the rest keep its gate (k = 2, d >= walkMinD,
-// at most n/4 balls), which closes mid-run.
+// at most n/4 balls), which closes mid-run. The light half runs once per
+// leader path (the Go network, and the AVX-512 kernel where the host has
+// it).
 func TestFastSelectMatchesReference(t *testing.T) {
 	ns := []int{8, 13, 40, 100, 512, 4096, 8192}
 	for _, policy := range []Policy{KDChoice, SerializedKD} {
@@ -50,7 +53,7 @@ func TestFastSelectMatchesReference(t *testing.T) {
 			if mode != "" {
 				name += "/" + mode
 			}
-			t.Run(name, func(t *testing.T) {
+			check := func(t *testing.T) {
 				if err := quick.Check(func(seed uint64, nRaw, kRaw, dRaw, multRaw uint8) bool {
 					n := ns[int(nRaw)%len(ns)]
 					k := int(kRaw%24) + 1
@@ -103,6 +106,13 @@ func TestFastSelectMatchesReference(t *testing.T) {
 					return true
 				}, &quick.Config{MaxCount: 80}); err != nil {
 					t.Fatal(err)
+				}
+			}
+			t.Run(name, func(t *testing.T) {
+				if mode == "light" {
+					onLeaderPaths(t, check)
+				} else {
+					check(t)
 				}
 			})
 		}
@@ -316,14 +326,73 @@ var walkStores = []struct {
 	{loadvec.StoreNibble, 40},
 }
 
+// leaderPaths are leaderKeys' two paths: the Go network, and the AVX-512
+// kernel on hosts that have it.
+var leaderPaths = []struct {
+	name   string
+	kernel bool
+}{{"network", false}, {"kernel", true}}
+
+// useLeaderPath sets leaderKeys' path for the rest of tb, and skips tb when
+// it asks for the kernel on a host without one.
+func useLeaderPath(tb testing.TB, kernel bool) {
+	tb.Helper()
+	if kernel && !haveLeaderKernel {
+		tb.Skip("no leader kernel here: it needs amd64 with AVX-512F and AVX-512DQ, saved by the OS")
+	}
+	old := leaderKernelOn
+	leaderKernelOn = kernel
+	tb.Cleanup(func() { leaderKernelOn = old })
+}
+
+// onLeaderPaths runs f once per leader path, as subtests.
+func onLeaderPaths(t *testing.T, f func(t *testing.T)) {
+	for _, path := range leaderPaths {
+		t.Run(path.name, func(t *testing.T) {
+			useLeaderPath(t, path.kernel)
+			f(t)
+		})
+	}
+}
+
+// TestLeaderKeysKernel pins the AVX-512 leader kernel to the Go network:
+// on 10⁵ random rounds both paths of leaderKeys return the same five keys.
+// d runs from 8 to 300, so every tail length d mod 8 occurs, with the
+// index mask of bits.Len(d-1) bits and a random nonce. At n = 1 every
+// sample is one bin and the keys differ only in their index bits; small n
+// repeats bins; n = 10⁸ and 2³¹−1 spread the bin multiply over all 64
+// bits.
+func TestLeaderKeysKernel(t *testing.T) {
+	useLeaderPath(t, true)
+	ns := []int{1, 2, 3, 5, 16, 100, 1000, 100_000_000, math.MaxInt32}
+	rng := xrand.New(0x1eade75)
+	samples := make([]int, 300)
+	for r := 0; r < 100_000; r++ {
+		d := 8 + rng.Intn(len(samples)-7)
+		n := ns[r%len(ns)]
+		s := samples[:d]
+		for i := range s {
+			s[i] = rng.Intn(n)
+		}
+		nonce := rng.Uint64()
+		idx := uint64(1)<<bits.Len(uint(d-1)) - 1
+		leaderKernelOn = false
+		want := leaderKeys(s, nonce, idx)
+		leaderKernelOn = true
+		if got := leaderKeys(s, nonce, idx); got != want {
+			t.Fatalf("round %d (n=%d, d=%d, nonce %#x): kernel %#x, Go network %#x", r, n, d, nonce, got, want)
+		}
+	}
+}
+
 // TestLeaderWalk crafts the rounds the empty-leader walk must settle — every
 // leader empty, loaded (and escaped) leaders it skips, a repeat outside the
 // walked leaders — next to the ones it must refuse: a repeated bin among
 // the leaders, a copy at the key after the last one taken, and too few
 // empty leaders. Each round must match the reference sort, on every exact
 // store, at the selector, and a process must deliver it as blockOracle
-// does. A tie-prefix collision cannot be crafted through tieKey, so the
-// walk is driven with keys directly.
+// does, on each leader path. A tie-prefix collision cannot be crafted
+// through tieKey, so the walk is driven with keys directly.
 func TestLeaderWalk(t *testing.T) {
 	const d, nonce = 64, 0x243f6a8885a308d3
 	// lead(i) is the sample index of leader i of the unedited round.
@@ -360,7 +429,7 @@ func TestLeaderWalk(t *testing.T) {
 	}
 	for _, st := range walkStores {
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%v/%s", st.kind, tc.name), func(t *testing.T) {
+			walk := func(t *testing.T) {
 				samples := append([]int(nil), base...)
 				loads := make([]int, 3*d+8)
 				tc.edit(samples, loads, st.escaped)
@@ -392,7 +461,8 @@ func TestLeaderWalk(t *testing.T) {
 				if err := matchOracleRound(pr, newOracle(KDChoice, p, 3, loads), samples); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+			t.Run(fmt.Sprintf("%v/%s", st.kind, tc.name), func(t *testing.T) { onLeaderPaths(t, walk) })
 		}
 	}
 
@@ -442,7 +512,8 @@ func (c *readCounter) Gather(bins, loads []int) {
 // in key order, and gathers its d samples only when those leaders cannot
 // settle it (serial, pipelined and not; sharded rounds likewise); a round
 // past the gate, a round on the sketch, a round of d < walkMinD and a k = 4
-// round gather all d samples and read none alone.
+// round gather all d samples and read none alone. (2,16) stays shut: the
+// walk did not win it reliably (walkMaxBalls).
 func TestLeaderWalkEngages(t *testing.T) {
 	const n, k, d, rounds = 1 << 16, 2, 64, 200
 	for _, tc := range []struct {
@@ -452,6 +523,7 @@ func TestLeaderWalkEngages(t *testing.T) {
 		{Params{N: n, K: k, D: d}, n / 4},
 		{Params{N: n, K: k, D: walkMinD, Store: loadvec.StoreNibble}, n / 4},
 		{Params{N: n, K: k, D: walkMinD - 1}, -1},
+		{Params{N: n, K: k, D: 16}, -1},
 		{Params{N: n, K: 1, D: d}, -1},
 		{Params{N: n, K: 4, D: d}, -1},
 		{Params{N: n, K: k, D: d, Store: loadvec.StoreSketch}, -1},

@@ -289,50 +289,59 @@ func TestShardedResetInvalidatesDecisions(t *testing.T) {
 // count cannot hide behind the P-vs-P sweeps. The mid-block Reset makes the
 // engine re-decide a window that starts past round 0 of its block. The
 // d-choice case checks the serial engine at Block = 1, d-choice's only
-// engine: its per-ball argmin is the oracle's too.
+// engine: its per-ball argmin is the oracle's too. The walk's cases run
+// once per leader path, as subtests.
 func TestShardedMatchesBlockSnapshotOracle(t *testing.T) {
 	const seed = 2718
 	type oracleCase struct {
 		name   string
 		policy Policy
 		p      Params
+		light  bool // the decide phase ranks by the empty-leader walk: run once per leader path
 		walk   bool // force the empty-leader walk, which is exact at any k, past its gate
 	}
 	cases := []oracleCase{
-		{"kd", KDChoice, Params{N: 61, K: 3, D: 9}, false},
-		{"dchoice", DChoice, Params{N: 61, D: 3}, false},
+		{"kd", KDChoice, Params{N: 61, K: 3, D: 9}, false, false},
+		{"dchoice", DChoice, Params{N: 61, D: 3}, false, false},
 	}
 	// Light-load rounds on every exact store, which the decide phase ranks
 	// by the empty-leader walk: 250 balls fill at most 1/8 of the bins.
 	for _, st := range walkStores {
 		cases = append(cases,
-			oracleCase{fmt.Sprintf("kd-light/%v/k=2,d=64", st.kind), KDChoice, Params{N: 2048, K: 2, D: 64, Store: st.kind}, false},
-			oracleCase{fmt.Sprintf("kd-light/%v/k=4,d=130", st.kind), KDChoice, Params{N: 12000, K: 4, D: 130, Store: st.kind}, true})
+			oracleCase{fmt.Sprintf("kd-light/%v/k=2,d=64", st.kind), KDChoice, Params{N: 2048, K: 2, D: 64, Store: st.kind}, true, false},
+			oracleCase{fmt.Sprintf("kd-light/%v/k=4,d=130", st.kind), KDChoice, Params{N: 12000, K: 4, D: 130, Store: st.kind}, true, true})
 	}
 	for _, tc := range cases {
 		blocks, shards := []int{7, 64}, 2
 		if tc.policy == DChoice {
 			blocks, shards = []int{1}, 0
 		}
-		for _, block := range blocks {
-			p := tc.p
-			p.Shards = shards
-			p.Block = block
-			got := MustNew(tc.policy, p, xrand.New(seed))
-			if tc.walk {
-				got.shard.walkMax = math.MaxInt
-			}
-			o := newOracle(tc.policy, p, seed, nil)
-			for leg, m := range []int{100, 250} {
-				if leg > 0 { // 34 (kd) rounds in: mid-block; 100 serial d-choice rounds
-					got.Reset()
-					o.reset()
+		run := func(t *testing.T) {
+			for _, block := range blocks {
+				p := tc.p
+				p.Shards = shards
+				p.Block = block
+				got := MustNew(tc.policy, p, xrand.New(seed))
+				if tc.walk {
+					got.shard.walkMax = math.MaxInt
 				}
-				if err := matchOracle(got, o, m); err != nil {
-					t.Fatalf("%s/block=%d/leg=%d: %v", tc.name, block, leg, err)
+				o := newOracle(tc.policy, p, seed, nil)
+				for leg, m := range []int{100, 250} {
+					if leg > 0 { // 34 (kd) rounds in: mid-block; 100 serial d-choice rounds
+						got.Reset()
+						o.reset()
+					}
+					if err := matchOracle(got, o, m); err != nil {
+						t.Fatalf("%s/block=%d/leg=%d: %v", tc.name, block, leg, err)
+					}
 				}
+				got.Close()
 			}
-			got.Close()
+		}
+		if tc.light {
+			t.Run(tc.name, func(t *testing.T) { onLeaderPaths(t, run) })
+		} else {
+			run(t)
 		}
 	}
 }

@@ -59,7 +59,10 @@ echo "==> cross-compile: arm64, 386, darwin (assembly and build-tagged fallbacks
 # every other port, and the huge-page advice is Linux-only with a no-op
 # elsewhere: build each variant so none of them rots, and vet the arm64
 # build so asmdecl checks its assembly the way the host vet above checks
-# amd64's. The 386 leg vets and runs the whole suite, the one run of every
+# amd64's (prefetch_amd64.s and the AVX-512 leader kernel,
+# leaders_amd64.s). arm64, 386 and the other ports compute the walk's
+# leader keys with the Go network, which the 386 leg tests. The 386 leg
+# vets and runs the whole suite, the one run of every
 # test on a 32-bit int (an amd64 Linux host executes 386 binaries).
 GOARCH=arm64 go build ./...
 GOARCH=386 go vet ./...
