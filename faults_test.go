@@ -375,7 +375,7 @@ func TestStorageRecoverRepairsDroppedCopies(t *testing.T) {
 
 // TestFaultFrontierShape is a tiny smoke of the public frontier inputs:
 // gap inflation must be finite and the counters populated. The measured
-// full-size frontier comes from `go run ./cmd/sweep -exp faults`;
+// full-size frontier comes from `go run ./cmd/experiments -only R1`;
 // internal/experiments has its own test.
 func TestFaultFrontierShape(t *testing.T) {
 	plan, err := ParseFaults("loss:0.4")

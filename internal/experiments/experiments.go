@@ -1,8 +1,9 @@
 // Package experiments implements every experiment of the reproduction —
 // Table 1, the Figure 1/2 load-vector profiles, the per-theorem scaling
 // studies, the tradeoff frontier, the Section 1.3 application comparisons
-// and the Section 7 ablation — as reusable functions shared by the command
-// line tools, the benchmark harness and EXPERIMENTS.md generation.
+// and the Section 7 ablation — as reusable functions shared by
+// cmd/experiments (whose quick report is checked in as EXPERIMENTS.md),
+// the root package's benchmarks and the examples.
 //
 // The simulation experiments are built entirely on the public kdchoice
 // Experiment API: each study assembles its grid of cells once and runs
@@ -27,11 +28,11 @@ import (
 // n = 3·2^16 = 196608.
 const PaperN = 3 * (1 << 16)
 
-// Table1Ks lists the k values of the paper's Table 1 rows.
-var Table1Ks = []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192}
+// table1Ks lists the k values of the paper's Table 1 rows.
+var table1Ks = []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192}
 
-// Table1Ds lists the d values of the paper's Table 1 columns.
-var Table1Ds = []int{1, 2, 3, 5, 9, 17, 25, 49, 65, 193}
+// table1Ds lists the d values of the paper's Table 1 columns.
+var table1Ds = []int{1, 2, 3, 5, 9, 17, 25, 49, 65, 193}
 
 // Table1Opts configures the Table 1 reproduction.
 type Table1Opts struct {
@@ -77,7 +78,7 @@ func Table1(opts Table1Opts) ([]Table1Cell, error) {
 
 	// The k = d = 1 corner is the paper's single-choice cell; the sweep
 	// proper covers the k < d triangle.
-	if containsInt(Table1Ks, 1) && containsInt(Table1Ds, 1) && n >= 1 {
+	if n >= 1 {
 		cells = append(cells, kdchoice.Cell{
 			Config: kdchoice.Config{Bins: n, Policy: kdchoice.SingleChoice, Seed: table1Seed(opts.Seed, 1, 1)},
 			Label:  "single-choice",
@@ -86,8 +87,8 @@ func Table1(opts Table1Opts) ([]Table1Cell, error) {
 	}
 	grid, err := kdchoice.Sweep{
 		N:           []int{n},
-		K:           Table1Ks,
-		D:           Table1Ds,
+		K:           table1Ks,
+		D:           table1Ds,
 		SkipInvalid: true, // drops k >= d and d > n, the blank cells
 	}.Cells()
 	if err != nil {
@@ -111,15 +112,6 @@ func Table1(opts Table1Opts) ([]Table1Cell, error) {
 	return out, nil
 }
 
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Table1Render renders cells in the paper's layout (k rows, d columns,
 // "-" for empty cells).
 func Table1Render(cells []Table1Cell) *table.Table {
@@ -127,16 +119,16 @@ func Table1Render(cells []Table1Cell) *table.Table {
 	for _, c := range cells {
 		byKey[[2]int{c.K, c.D}] = c.DistinctMax
 	}
-	header := make([]string, 0, len(Table1Ds)+1)
+	header := make([]string, 0, len(table1Ds)+1)
 	header = append(header, "k\\d")
-	for _, d := range Table1Ds {
+	for _, d := range table1Ds {
 		header = append(header, fmt.Sprintf("d=%d", d))
 	}
 	t := table.New(header...)
-	for _, k := range Table1Ks {
-		row := make([]string, 0, len(Table1Ds)+1)
+	for _, k := range table1Ks {
+		row := make([]string, 0, len(table1Ds)+1)
 		row = append(row, fmt.Sprintf("k=%d", k))
-		for _, d := range Table1Ds {
+		for _, d := range table1Ds {
 			row = append(row, table.IntsCell(byKey[[2]int{k, d}]))
 		}
 		t.AddRow(row...)

@@ -13,8 +13,8 @@ func TestTable1SmallGrid(t *testing.T) {
 	// Count expected cells: all (k,d) with k < d, plus (1,1), restricted to
 	// the grid and to d <= n.
 	want := 0
-	for _, k := range Table1Ks {
-		for _, d := range Table1Ds {
+	for _, k := range table1Ks {
+		for _, d := range table1Ds {
 			if d <= 3*(1<<8) && (k < d || (k == 1 && d == 1)) {
 				want++
 			}
@@ -89,7 +89,7 @@ func TestPaperTable1Sanity(t *testing.T) {
 		return false
 	}
 	for key := range paper {
-		if !inGrid(key[0], Table1Ks) || !inGrid(key[1], Table1Ds) {
+		if !inGrid(key[0], table1Ks) || !inGrid(key[1], table1Ds) {
 			t.Fatalf("paper cell %v not on the grid", key)
 		}
 	}

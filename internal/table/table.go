@@ -1,6 +1,6 @@
-// Package table renders aligned plain-text, Markdown and CSV tables for the
-// command-line tools and for EXPERIMENTS.md. It has no knowledge of the
-// experiments themselves.
+// Package table renders aligned plain-text, Markdown and CSV tables for
+// cmd/kdsim and for cmd/experiments' report (EXPERIMENTS.md). It has no
+// knowledge of the experiments themselves.
 package table
 
 import (
