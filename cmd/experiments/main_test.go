@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/cmd/internal/report"
 )
 
 // regenerate is the command that writes the checked-in report.
@@ -26,7 +28,7 @@ func quick(t *testing.T) string {
 	t.Helper()
 	quickOnce.Do(func() {
 		var buf bytes.Buffer
-		quickErr = run([]string{"-scale", "quick", "-seed", "1"}, &buf)
+		quickErr = report.Run([]string{"-scale", "quick", "-seed", "1"}, &buf)
 		quickReport = buf.String()
 	})
 	if quickErr != nil {
@@ -60,13 +62,13 @@ func TestReportMatchesExperimentsMD(t *testing.T) {
 
 // sectionText returns the report's section with the given id, from its
 // heading to the next heading.
-func sectionText(t *testing.T, report, id string) string {
+func sectionText(t *testing.T, doc, id string) string {
 	t.Helper()
-	i := strings.Index(report, "\n## "+id+" — ")
+	i := strings.Index(doc, "\n## "+id+" — ")
 	if i < 0 {
 		t.Fatalf("report has no section %q", id)
 	}
-	body := report[i+1:]
+	body := doc[i+1:]
 	if j := strings.Index(body, "\n## "); j >= 0 {
 		body = body[:j+1]
 	}
@@ -99,10 +101,10 @@ func tables(text string) [][][]string {
 }
 
 func TestRunQuickScaleProducesAllSections(t *testing.T) {
-	report := quick(t)
-	for _, s := range sections {
-		if tabs := tables(sectionText(t, report, s.id)); len(tabs) == 0 || len(tabs[0]) == 0 {
-			t.Errorf("section %s has no table rows", s.id)
+	doc := quick(t)
+	for _, id := range report.IDs() {
+		if tabs := tables(sectionText(t, doc, id)); len(tabs) == 0 || len(tabs[0]) == 0 {
+			t.Errorf("section %s has no table rows", id)
 		}
 	}
 	// Text each section must carry: the Table 1 grid's row and column
@@ -114,7 +116,7 @@ func TestRunQuickScaleProducesAllSections(t *testing.T) {
 		"A1": {"batch mean", "per-task p95", "random mean", "probes/job"},
 		"A2": {"kd max", "two search", "msgs/file"},
 	} {
-		text := sectionText(t, report, id)
+		text := sectionText(t, doc, id)
 		for _, want := range wants {
 			if !strings.Contains(text, want) {
 				t.Errorf("section %s lacks %q", id, want)
@@ -128,10 +130,10 @@ func TestRunQuickScaleProducesAllSections(t *testing.T) {
 // of the full report.
 func TestRunDeterministic(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-scale", "quick", "-seed", "1", "-only", "A2, T1"}, &buf); err != nil {
+	if err := report.Run([]string{"-scale", "quick", "-seed", "1", "-only", "A2, T1"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	out, report := buf.String(), quick(t)
+	out, doc := buf.String(), quick(t)
 	if !strings.Contains(out, "`go run ./cmd/experiments -scale quick -seed 1 -only T1,A2`") {
 		t.Error("preamble does not name the -only sections in report order")
 	}
@@ -142,7 +144,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Errorf("-only A2,T1 printed %d sections", strings.Count(out, "\n## "))
 	}
 	for _, id := range []string{"T1", "A2"} {
-		if sectionText(t, out, id) != sectionText(t, report, id) {
+		if sectionText(t, out, id) != sectionText(t, doc, id) {
 			t.Errorf("section %s printed alone differs from the full report", id)
 		}
 	}
@@ -152,9 +154,9 @@ func TestRunDeterministic(t *testing.T) {
 // as CSV under its '#' heading and no prose; -format text prints the same
 // cells as aligned columns, with plain headings and prose.
 func TestRunFormats(t *testing.T) {
-	report := quick(t)
+	doc := quick(t)
 	var buf bytes.Buffer
-	if err := run([]string{"-scale", "quick", "-seed", "1", "-only", "F1/F2,A1,A2", "-format", "csv"}, &buf); err != nil {
+	if err := report.Run([]string{"-scale", "quick", "-seed", "1", "-only", "F1/F2,A1,A2", "-format", "csv"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	csv := buf.String()
@@ -166,14 +168,14 @@ func TestRunFormats(t *testing.T) {
 	if strings.Contains(csv, "**") {
 		t.Error("csv output carries prose")
 	}
-	for _, row := range tables(sectionText(t, report, "A2"))[0] {
+	for _, row := range tables(sectionText(t, doc, "A2"))[0] {
 		if !strings.Contains(csv, "\n"+strings.Join(row, ",")+"\n") {
 			t.Errorf("csv output lacks the A2 row %v", row)
 		}
 	}
 
 	buf.Reset()
-	if err := run([]string{"-scale", "quick", "-seed", "1", "-only", "E6", "-format", "text"}, &buf); err != nil {
+	if err := report.Run([]string{"-scale", "quick", "-seed", "1", "-only", "E6", "-format", "text"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -190,7 +192,7 @@ func TestRunFormats(t *testing.T) {
 	for _, line := range strings.Split(text, "\n") {
 		lines[strings.Join(columns.Split(strings.TrimSpace(line), -1), "|")] = true
 	}
-	for _, row := range tables(sectionText(t, report, "E6"))[0] {
+	for _, row := range tables(sectionText(t, doc, "E6"))[0] {
 		if !lines[strings.Join(row, "|")] {
 			t.Errorf("text output lacks the E6 row %v", row)
 		}
@@ -199,15 +201,15 @@ func TestRunFormats(t *testing.T) {
 
 func TestScaleFor(t *testing.T) {
 	for _, name := range []string{"quick", "full", "paper"} {
-		sc, err := scaleFor(name)
+		sc, err := report.ScaleFor(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if sc.table1N <= 0 || sc.runs <= 0 || len(sc.scalingNs) == 0 {
+		if sc.Table1N <= 0 || sc.Runs <= 0 || len(sc.ScalingNs) == 0 {
 			t.Fatalf("%s: bad scale %+v", name, sc)
 		}
 	}
-	if _, err := scaleFor("huge"); err == nil {
+	if _, err := report.ScaleFor("huge"); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }
@@ -215,10 +217,7 @@ func TestScaleFor(t *testing.T) {
 // TestRunBadFlags: every bad flag fails before any output, and the error
 // names what was wrong.
 func TestRunBadFlags(t *testing.T) {
-	var ids []string
-	for _, s := range sections {
-		ids = append(ids, s.id)
-	}
+	ids := report.IDs()
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -229,7 +228,7 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-only", "T1,E9"}, `"E9" in -only (valid: ` + strings.Join(ids, ", ") + ")"},
 	} {
 		var buf bytes.Buffer
-		err := run(tc.args, &buf)
+		err := report.Run(tc.args, &buf)
 		if err == nil {
 			t.Errorf("%v accepted", tc.args)
 			continue
@@ -261,17 +260,17 @@ func TestClassifyMatch(t *testing.T) {
 		{[]int{4}, nil, "n/a"},
 	}
 	for _, tc := range cases {
-		if got := classifyMatch(tc.got, tc.want); got != tc.label {
-			t.Fatalf("classifyMatch(%v,%v) = %q, want %q", tc.got, tc.want, got, tc.label)
+		if got := report.ClassifyMatch(tc.got, tc.want); got != tc.label {
+			t.Fatalf("ClassifyMatch(%v,%v) = %q, want %q", tc.got, tc.want, got, tc.label)
 		}
 	}
 }
 
 // verdictRows returns the rows of the first Markdown table of the report
 // section with the given id and its "**Measured**" sentence.
-func verdictRows(t *testing.T, report, id string) (rows [][]string, measured string) {
+func verdictRows(t *testing.T, doc, id string) (rows [][]string, measured string) {
 	t.Helper()
-	text := sectionText(t, report, id)
+	text := sectionText(t, doc, id)
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "**Measured**: ") {
 			measured = strings.TrimPrefix(line, "**Measured**: ")
@@ -305,11 +304,11 @@ func cellFloat(t *testing.T, s string) float64 {
 // inflation without and with the largest retry budget. A claim the table
 // does not support reads "not reproduced at this n".
 func TestVerdictsMatchTables(t *testing.T) {
-	report := quick(t)
+	doc := quick(t)
 
 	// E1 rows: k, d, n, measured mean max, leading term; each (k,d)
 	// pair's rows run from the smallest n to the largest.
-	rows, measured := verdictRows(t, report, "E1")
+	rows, measured := verdictRows(t, doc, "E1")
 	type span struct {
 		pair        string
 		first, last float64
@@ -348,7 +347,7 @@ func TestVerdictsMatchTables(t *testing.T) {
 	}
 
 	// E5 rows: strategy, k, d, mean max load, messages/ball, regime.
-	rows, measured = verdictRows(t, report, "E5")
+	rows, measured = verdictRows(t, doc, "E5")
 	var two, thin string
 	for _, r := range rows {
 		switch {
@@ -373,7 +372,7 @@ func TestVerdictsMatchTables(t *testing.T) {
 	}
 
 	// E3b rows: n, balls, mean max, measured gap, bins > avg, upper term.
-	rows, measured = verdictRows(t, report, "E3b")
+	rows, measured = verdictRows(t, doc, "E3b")
 	var gaps, uppers []string
 	bounded := true
 	for _, r := range rows {
@@ -401,7 +400,7 @@ func TestVerdictsMatchTables(t *testing.T) {
 
 	// E3c rows: n, store, measured B/bin, mean max, mean gap, max
 	// inflation; "small" is at most one ball.
-	rows, measured = verdictRows(t, report, "E3c")
+	rows, measured = verdictRows(t, doc, "E3c")
 	var infl []string
 	small := true
 	for _, r := range rows {
@@ -420,7 +419,7 @@ func TestVerdictsMatchTables(t *testing.T) {
 	// A2 rows: k, kd max, two max, rand max, kd msgs/file, two msgs/file,
 	// kd search, two search; the paper's search cost is k+1 probes
 	// against 2k.
-	rows, measured = verdictRows(t, report, "A2")
+	rows, measured = verdictRows(t, doc, "A2")
 	var ratios []string
 	paperCost := true
 	for _, r := range rows {
@@ -439,7 +438,7 @@ func TestVerdictsMatchTables(t *testing.T) {
 	// retry budgets ascend within each loss rate. The retries buy the
 	// balance back when the largest budget inflates the gap no more than
 	// no retries at every loss rate, and less wherever that is above 0.
-	rows, measured = verdictRows(t, report, "R1")
+	rows, measured = verdictRows(t, doc, "R1")
 	var without, with []string
 	buys := true
 	for i, r := range rows {
